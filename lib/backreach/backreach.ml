@@ -417,7 +417,7 @@ let build ?journal ?(resume = false) ?progress config sys =
   validate_config config;
   if B.dim config.domain <> sys.System.plant.Nncs_ode.Ode.dim then
     invalid_arg "Backreach.build: domain/plant dimension mismatch";
-  let started = Unix.gettimeofday () in
+  let started = Nncs_obs.Clock.monotonic_s () in
   let edges = edges_of ~domain:config.domain ~grid:config.grid in
   let ncells = Array.fold_left ( * ) 1 config.grid in
   let ncmds = Command.size sys.System.controller.Controller.commands in
@@ -513,7 +513,7 @@ let build ?journal ?(resume = false) ?progress config sys =
             | None -> assert false (* every ticket was drained *))
           infos
       in
-      let build_s = Unix.gettimeofday () -. started in
+      let build_s = Nncs_obs.Clock.elapsed_s ~since:started in
       let t = table_of_infos ?writer ~config ~edges ~fp ~ncmds ~build_s infos in
       Option.iter
         (fun w ->

@@ -136,7 +136,7 @@ type report = {
   total_cells : int;
 }
 
-let now () = Unix.gettimeofday ()
+let now = Nncs_obs.Clock.monotonic_s
 
 let leaf_failure l = match l.result with Failed f -> Some f | Completed _ -> None
 
@@ -207,7 +207,7 @@ let run_leaf ?abstract config budget sys st =
       | Ok r -> (Ok r, [ rung_base ])
       | Error f -> (Error f, [ rung_base ])
   in
-  (verdict, rungs, (now () -. t0) [@lint.fp_exact "wall-clock telemetry"])
+  (verdict, rungs, Nncs_obs.Clock.elapsed_s ~since:t0)
 
 let strategy_arity = function
   | All_dims dims -> List.length dims
@@ -300,7 +300,7 @@ let verify_cell ?cancel ?(config = default_config) ?(index = 0) sys cell =
     index;
     leaves;
     proved_fraction;
-    elapsed = (now () -. t0) [@lint.fp_exact "wall-clock telemetry"];
+    elapsed = Nncs_obs.Clock.elapsed_s ~since:t0;
   }
 
 let coverage_of_cells cells =
@@ -1034,7 +1034,7 @@ let verify_partition ?cancel ?(config = default_config) ?progress ?on_cell
   {
     cells = cell_reports;
     coverage = coverage_of_cells cell_reports;
-    elapsed = (now () -. t0) [@lint.fp_exact "wall-clock telemetry"];
+    elapsed = Nncs_obs.Clock.elapsed_s ~since:t0;
     proved_cells =
       List.length
         (List.filter

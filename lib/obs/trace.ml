@@ -16,7 +16,7 @@ let epoch = Atomic.make 0.0
 
 let enabled () = Atomic.get enabled_flag
 
-let now_rel () = Unix.gettimeofday () -. Atomic.get epoch
+let now_rel () = Clock.monotonic_s () -. Atomic.get epoch
 
 let domain_id () = (Domain.self () :> int)
 
@@ -46,7 +46,7 @@ let clear () = with_registry (fun () -> List.iter (fun buf -> buf := []) !regist
 
 let enable () =
   clear ();
-  Atomic.set epoch (Unix.gettimeofday ());
+  Atomic.set epoch (Clock.monotonic_s ());
   Atomic.set enabled_flag true
 
 let disable () = Atomic.set enabled_flag false

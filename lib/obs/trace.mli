@@ -38,7 +38,8 @@ val disable : unit -> unit
 (** Stop collecting; already-buffered events are kept for {!events}. *)
 
 val now_rel : unit -> float
-(** Seconds since {!enable} (0.0 if never enabled). *)
+(** Seconds since {!enable} on the monotonic {!Clock}, so span start
+    times and durations never jump with the wall clock. *)
 
 val domain_id : unit -> int
 

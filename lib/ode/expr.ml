@@ -205,4 +205,5 @@ let rec diff e i =
   | Sqrt a -> diff a i / (Const 2.0 * sqrt a)
   | Sqr a -> Const 2.0 * a * diff a i
   | Atan a -> diff a i / (Const 1.0 + sqr a)
+  | Pow (_, 0) -> Const 0.0
   | Pow (a, n) -> Const (float_of_int n) * pow a (Stdlib.( - ) n 1) * diff a i

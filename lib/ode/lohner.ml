@@ -27,19 +27,12 @@ let hull st =
 
 (* ----- variational series: Taylor coefficients of J(t), J' = A(t) J ----- *)
 
-(* series of the Jacobian entries A_ij(t) = (df_i/dz_j)(t, z(t), u) given
-   the solution series [zser] *)
-let jacobian_entry_series sys ~time ~zser ~inputs =
-  let n = sys.Ode.dim in
-  Array.init n (fun i ->
-      Array.init n (fun j ->
-          Series.eval_expr (Expr.diff sys.Ode.rhs.(i) j) ~time ~state:zser ~inputs))
-
 (* coefficients J[0..k] of the matrix series from J[0] = j0 via
-   J[k+1] = 1/(k+1) * sum_{m<=k} A[m] J[k-m] *)
+   J[k+1] = 1/(k+1) * sum_{m<=k} A[m] J[k-m], where [aser.(i * n + j)]
+   is the series of A_ij(t) = (df_i/dz_j)(t, z(t), u) *)
 let variational_coeffs ~order ~aser ~j0 =
   let n = IM.rows j0 in
-  let a_coeff m = IM.init n n (fun i j -> aser.(i).(j).(m)) in
+  let a_coeff m = IM.init n n (fun i j -> aser.((i * n) + j).(m)) in
   let js = Array.make (order + 1) j0 in
   for k = 0 to order - 1 do
     let acc = ref (IM.create n n I.zero) in
@@ -60,7 +53,7 @@ let jacobian_prior sys ~t1 ~h ~prior ~inputs =
   let hiv = I.make 0.0 h in
   let abox =
     IM.init n n (fun i j ->
-        Expr.eval_interval (Expr.diff sys.Ode.rhs.(i) j) ~time:tiv ~state:prior
+        Expr.eval_interval sys.Ode.jacobian.(i).(j) ~time:tiv ~state:prior
           ~inputs)
   in
   let picard jb = IM.add (IM.identity n) (IM.scale hiv (IM.mul abox jb)) in
@@ -120,28 +113,40 @@ let matrix_horner coeffs d =
   done;
   !acc
 
-let jacobian_enclosure sys ~order ~t1 ~h ~inputs box =
+(* The flow Jacobian over a box from the pieces a step already has:
+   [prior] encloses the flow from the box over the step, [zser] is the
+   solution series over the box at t1 and [zpr] the one over [prior] on
+   [t1, t1+h].  Orders < K come from [zser], order K from [zpr]. *)
+let jacobian_of_series sys ~order ~t1 ~h ~inputs ~prior ~zser ~zpr =
   let n = sys.Ode.dim in
-  let prior = Apriori.enclosure sys ~t1 ~h ~state:box ~inputs in
-  let tser = I.of_float t1 in
-  (* orders < K over the initial box, order K over the prior *)
-  let zser = Series.solution_coeffs ~rhs:sys.Ode.rhs ~order ~time:tser ~state:box ~inputs in
-  let aser = jacobian_entry_series sys ~time:(Series.time_var order tser) ~zser ~inputs in
+  let aser =
+    Series.eval sys.Ode.jacobian_tape ~order ~time:(I.of_float t1) ~state:zser
+      ~inputs
+  in
   let js = variational_coeffs ~order ~aser ~j0:(IM.identity n) in
   let jb = jacobian_prior sys ~t1 ~h ~prior ~inputs in
-  let zpr =
-    Series.solution_coeffs ~rhs:sys.Ode.rhs ~order
-      ~time:(I.make t1 (R.add_up t1 h))
-      ~state:prior ~inputs
-  in
   let apr =
-    jacobian_entry_series sys
-      ~time:(Series.time_var order (I.make t1 (R.add_up t1 h)))
-      ~zser:zpr ~inputs
+    Series.eval sys.Ode.jacobian_tape ~order
+      ~time:(I.make t1 (R.add_up t1 h))
+      ~state:zpr ~inputs
   in
   let jpr = variational_coeffs ~order ~aser:apr ~j0:jb in
   let coeffs = Array.init (order + 1) (fun k -> if k < order then js.(k) else jpr.(k)) in
   matrix_horner coeffs (I.of_float h)
+
+let solution_at_t1 sys ~order ~t1 ~inputs state =
+  Series.solution_coeffs sys.Ode.tape ~order ~time:(I.of_float t1) ~state ~inputs
+
+let solution_over_step sys ~order ~t1 ~h ~inputs state =
+  Series.solution_coeffs sys.Ode.tape ~order
+    ~time:(I.make t1 (R.add_up t1 h))
+    ~state ~inputs
+
+let jacobian_enclosure sys ~order ~t1 ~h ~inputs box =
+  let prior = Apriori.enclosure sys ~t1 ~h ~state:box ~inputs in
+  let zser = solution_at_t1 sys ~order ~t1 ~inputs box in
+  let zpr = solution_over_step sys ~order ~t1 ~h ~inputs prior in
+  jacobian_of_series sys ~order ~t1 ~h ~inputs ~prior ~zser ~zpr
 
 type step_result = { next : state; range : B.t }
 
@@ -180,15 +185,8 @@ let step sys ~order ~t1 ~h ~inputs st =
   let zbox = hull st in
   let prior = Apriori.enclosure sys ~t1 ~h ~state:zbox ~inputs in
   (* 1. point Taylor step of the center, remainder over the prior *)
-  let zc =
-    Series.solution_coeffs ~rhs:sys.Ode.rhs ~order ~time:(I.of_float t1)
-      ~state:(B.of_point st.center) ~inputs
-  in
-  let zpr =
-    Series.solution_coeffs ~rhs:sys.Ode.rhs ~order
-      ~time:(I.make t1 (R.add_up t1 h))
-      ~state:prior ~inputs
-  in
+  let zc = solution_at_t1 sys ~order ~t1 ~inputs (B.of_point st.center) in
+  let zpr = solution_over_step sys ~order ~t1 ~h ~inputs prior in
   let hd = I.of_float h in
   let point_flow =
     Array.init n (fun i ->
@@ -198,7 +196,8 @@ let step sys ~order ~t1 ~h ~inputs st =
         Series.horner coeffs hd)
   in
   (* 2. Jacobian of the flow over the current hull *)
-  let jfull = jacobian_enclosure sys ~order ~t1 ~h ~inputs zbox in
+  let zbser = solution_at_t1 sys ~order ~t1 ~inputs zbox in
+  let jfull = jacobian_of_series sys ~order ~t1 ~h ~inputs ~prior ~zser:zbser ~zpr in
   (* 3. propagate the error set: M = J * frame, d = point defect *)
   let m = IM.mul jfull (interval_frame st) in
   let new_center = Array.map I.mid point_flow in
@@ -223,10 +222,6 @@ let step sys ~order ~t1 ~h ~inputs st =
   (* 5. range over the step: the prior meets the direct Taylor range *)
   let direct_range =
     let d01 = I.make 0.0 h in
-    let zbser =
-      Series.solution_coeffs ~rhs:sys.Ode.rhs ~order ~time:(I.of_float t1)
-        ~state:zbox ~inputs
-    in
     B.of_intervals
       (Array.init n (fun i ->
            let coeffs =

@@ -1,6 +1,13 @@
 module B = Nncs_interval.Box
 
-type system = { dim : int; input_dim : int; rhs : Expr.t array }
+type system = {
+  dim : int;
+  input_dim : int;
+  rhs : Expr.t array;
+  jacobian : Expr.t array array;
+  tape : Series.tape;
+  jacobian_tape : Series.tape;
+}
 
 let make ~dim ~input_dim rhs =
   if Array.length rhs <> dim then
@@ -12,7 +19,15 @@ let make ~dim ~input_dim rhs =
       if Expr.max_input_index e >= input_dim then
         invalid_arg "Ode.make: input index out of range")
     rhs;
-  { dim; input_dim; rhs }
+  let jacobian = Array.map (fun e -> Array.init dim (Expr.diff e)) rhs in
+  {
+    dim;
+    input_dim;
+    rhs;
+    jacobian;
+    tape = Series.compile rhs;
+    jacobian_tape = Series.compile (Array.concat (Array.to_list jacobian));
+  }
 
 let eval_rhs sys ~time ~state ~inputs =
   Array.map (fun e -> Expr.eval e ~time ~state ~inputs) sys.rhs

@@ -6,12 +6,17 @@ type system = private {
   dim : int;  (** state dimension l *)
   input_dim : int;  (** command dimension d *)
   rhs : Expr.t array;  (** one expression per state dimension *)
+  jacobian : Expr.t array array;
+      (** [jacobian.(i).(j)] is [Expr.diff rhs.(i) j] *)
+  tape : Series.tape;  (** [rhs], compiled *)
+  jacobian_tape : Series.tape;  (** [jacobian], compiled row by row *)
 }
 
 val make : dim:int -> input_dim:int -> Expr.t array -> system
 (** Validates that the expressions only mention state indices < [dim] and
     input indices < [input_dim], and that there are exactly [dim] of
-    them. *)
+    them; then differentiates them and compiles both sets once.  Raises
+    [Invalid_argument] on a [Pow] with a negative exponent. *)
 
 val eval_rhs : system -> time:float -> state:float array -> inputs:float array -> float array
 

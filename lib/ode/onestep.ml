@@ -10,11 +10,11 @@ let step sys ~order ~t1 ~h ~state ~inputs =
   (* Coefficients 0..K-1 from the initial box at t = t1; coefficient K
      (Lagrange remainder) from the a-priori box over the step. *)
   let zs =
-    Series.solution_coeffs ~rhs:sys.Ode.rhs ~order ~time:(I.of_float t1)
-      ~state ~inputs
+    Series.solution_coeffs sys.Ode.tape ~order ~time:(I.of_float t1) ~state
+      ~inputs
   in
   let zr =
-    Series.solution_coeffs ~rhs:sys.Ode.rhs ~order
+    Series.solution_coeffs sys.Ode.tape ~order
       ~time:(I.make t1 (R.add_up t1 h))
       ~state:prior ~inputs
   in

@@ -45,7 +45,13 @@ let test_expr_eval () =
 let test_expr_validation () =
   Alcotest.check_raises "bad state index"
     (Invalid_argument "Ode.make: state index out of range") (fun () ->
-      ignore (Ode.make ~dim:1 ~input_dim:1 [| E.state 3 |]))
+      ignore (Ode.make ~dim:1 ~input_dim:1 [| E.state 3 |]));
+  (* Ode.make differentiates eagerly: a raw zeroth power must not raise *)
+  let sys = Ode.make ~dim:1 ~input_dim:1 [| E.Pow (E.state 0, 0) |] in
+  check "d(s^0)/ds = 0" true
+    (Float.equal
+       (E.eval sys.Ode.jacobian.(0).(0) ~time:0.0 ~state:[| 2.0 |] ~inputs:[| 0.0 |])
+       0.0)
 
 let test_rk4_decay () =
   let s = Ode.rk4_flow decay ~time:0.0 ~state:[| 1.0 |] ~inputs:[| 0.0 |] ~duration:1.0 ~steps:100 in
@@ -354,6 +360,338 @@ let test_jacobian_enclosure_linear () =
        [| [| Float.cos h; Float.sin h |]; [| -.Float.sin h; Float.cos h |] |]);
   check "J tight" true (IM.width j < 1e-6)
 
+(* ----- the Taylor-mode tape against the recursive full-series
+   evaluator it replaced ----- *)
+
+module Series = Nncs_ode.Series
+
+(* Reference: every call computes the full series 0..K of a node, and
+   [solution_coeffs] re-evaluates the whole right-hand side on each of
+   its K passes. *)
+module Ref = struct
+  let order s = Array.length s - 1
+  let const k c = Array.init (k + 1) (fun i -> if i = 0 then c else I.zero)
+
+  let time_var k t0 =
+    Array.init (k + 1) (fun i ->
+        if i = 0 then t0 else if i = 1 then I.one else I.zero)
+
+  let add a b = Array.map2 I.add a b
+  let sub a b = Array.map2 I.sub a b
+  let neg a = Array.map I.neg a
+
+  let mul a b =
+    Array.init (order a + 1) (fun n ->
+        let acc = ref I.zero in
+        for j = 0 to n do
+          acc := I.add !acc (I.mul a.(j) b.(n - j))
+        done;
+        !acc)
+
+  let sqr a = mul a a
+
+  let div a b =
+    let k = order a in
+    let q = Array.make (k + 1) I.zero in
+    for n = 0 to k do
+      let acc = ref a.(n) in
+      for j = 0 to n - 1 do
+        acc := I.sub !acc (I.mul q.(j) b.(n - j))
+      done;
+      q.(n) <- I.div !acc b.(0)
+    done;
+    q
+
+  let sqrt a =
+    let k = order a in
+    let r = Array.make (k + 1) I.zero in
+    r.(0) <- I.sqrt a.(0);
+    let two_r0 = I.mul_float 2.0 r.(0) in
+    for n = 1 to k do
+      let acc = ref a.(n) in
+      for j = 1 to n - 1 do
+        acc := I.sub !acc (I.mul r.(j) r.(n - j))
+      done;
+      r.(n) <- I.div !acc two_r0
+    done;
+    r
+
+  let exp a =
+    let k = order a in
+    let e = Array.make (k + 1) I.zero in
+    e.(0) <- I.exp a.(0);
+    for n = 1 to k do
+      let acc = ref I.zero in
+      for j = 1 to n do
+        acc := I.add !acc (I.mul (I.mul_float (float_of_int j) a.(j)) e.(n - j))
+      done;
+      e.(n) <- I.div !acc (I.of_float (float_of_int n))
+    done;
+    e
+
+  let sin_cos a =
+    let k = order a in
+    let s = Array.make (k + 1) I.zero and c = Array.make (k + 1) I.zero in
+    s.(0) <- I.sin a.(0);
+    c.(0) <- I.cos a.(0);
+    for n = 1 to k do
+      let sacc = ref I.zero and cacc = ref I.zero in
+      for j = 1 to n do
+        let ja = I.mul_float (float_of_int j) a.(j) in
+        sacc := I.add !sacc (I.mul ja c.(n - j));
+        cacc := I.add !cacc (I.mul ja s.(n - j))
+      done;
+      let n_iv = I.of_float (float_of_int n) in
+      s.(n) <- I.div !sacc n_iv;
+      c.(n) <- I.neg (I.div !cacc n_iv)
+    done;
+    (s, c)
+
+  let atan a =
+    let k = order a in
+    let g = add (const k I.one) (sqr a) in
+    let t = Array.make (k + 1) I.zero in
+    t.(0) <- I.atan a.(0);
+    for n = 1 to k do
+      let acc = ref (I.mul_float (float_of_int n) a.(n)) in
+      for j = 1 to n - 1 do
+        acc := I.sub !acc (I.mul (I.mul_float (float_of_int j) t.(j)) g.(n - j))
+      done;
+      t.(n) <- I.div !acc (I.mul_float (float_of_int n) g.(0))
+    done;
+    t
+
+  let pow a n =
+    let k = order a in
+    let rec go acc base n =
+      if n = 0 then acc
+      else
+        let acc = if n land 1 = 1 then mul acc base else acc in
+        go acc (mul base base) (n asr 1)
+    in
+    if n = 0 then const k I.one else go (const k I.one) a n
+
+  let rec eval_expr e ~time ~state ~inputs =
+    let k = order time in
+    let ev a = eval_expr a ~time ~state ~inputs in
+    match e with
+    | E.Const c -> const k (I.of_float c)
+    | E.Time -> time
+    | E.State i -> state.(i)
+    | E.Input i -> const k (B.get inputs i)
+    | E.Neg a -> neg (ev a)
+    | E.Add (a, b) -> add (ev a) (ev b)
+    | E.Sub (a, b) -> sub (ev a) (ev b)
+    | E.Mul (a, b) -> mul (ev a) (ev b)
+    | E.Div (a, b) -> div (ev a) (ev b)
+    | E.Sin a -> fst (sin_cos (ev a))
+    | E.Cos a -> snd (sin_cos (ev a))
+    | E.Exp a -> exp (ev a)
+    | E.Sqrt a -> sqrt (ev a)
+    | E.Sqr a -> sqr (ev a)
+    | E.Atan a -> atan (ev a)
+    | E.Pow (a, n) -> pow (ev a) n
+
+  let solution_coeffs ~rhs ~order:k ~time ~state ~inputs =
+    let z = Array.init (Array.length rhs) (fun i -> const k (B.get state i)) in
+    let tseries = time_var k time in
+    for j = 0 to k - 1 do
+      let fs = Array.map (fun e -> eval_expr e ~time:tseries ~state:z ~inputs) rhs in
+      Array.iteri
+        (fun i f -> z.(i).(j + 1) <- I.div f.(j) (I.of_float (float_of_int (j + 1))))
+        fs
+    done;
+    z
+
+  let eval ~rhs ~order ~time ~state ~inputs =
+    Array.map
+      (fun e -> eval_expr e ~time:(time_var order time) ~state ~inputs)
+      rhs
+end
+
+let same_bits x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+
+let same_series a b =
+  Array.length a = Array.length b
+  && Array.for_all2
+       (fun x y ->
+         Array.length x = Array.length y
+         && Array.for_all2
+              (fun u v -> same_bits (I.lo u) (I.lo v) && same_bits (I.hi u) (I.hi v))
+              x y)
+       a b
+
+(* the tape must raise exactly where the reference raises *)
+let same_outcome reference tape =
+  match (reference (), tape ()) with
+  | r, t -> same_series r t
+  | exception _ -> ( match tape () with _ -> false | exception _ -> true)
+
+type tape_case = {
+  rhs : E.t array;
+  order : int;
+  time : I.t;
+  state : B.t;
+  inputs : B.t;
+  given : I.t array array;  (** series of each state variable *)
+}
+
+let gen_interval =
+  QCheck.Gen.(
+    let* c = float_range (-2.0) 2.0 in
+    let* r = oneof [ return 0.0; float_range 0.0 0.5 ] in
+    return (I.make (c -. r) (c +. r)))
+
+(* Every constructor, with raw constructors so that no smart constructor
+   folds anything away.  Divisors and square-root arguments are mostly
+   kept >= 0.5 (0.5 + e^2), and sometimes left free so that raising
+   cases occur too. *)
+let gen_expr ~dim =
+  QCheck.Gen.(
+    let leaf =
+      frequency
+        [
+          ( 2,
+            map
+              (fun c -> E.Const c)
+              (oneof [ oneofl [ 0.0; -0.0; 1.0; -1.0; 0.5 ]; float_range (-3.0) 3.0 ])
+          );
+          (1, return E.Time);
+          (3, map (fun i -> E.State i) (int_bound (dim - 1)));
+          (1, map (fun i -> E.Input i) (int_bound 1));
+        ]
+    in
+    fix
+      (fun self depth ->
+        if depth = 0 then leaf
+        else
+          let sub = self (depth - 1) in
+          let positive = map (fun e -> E.Add (E.Const 0.5, E.Sqr e)) sub in
+          frequency
+            [
+              (2, leaf);
+              (1, map (fun a -> E.Neg a) sub);
+              (1, map2 (fun a b -> E.Add (a, b)) sub sub);
+              (1, map2 (fun a b -> E.Sub (a, b)) sub sub);
+              (2, map2 (fun a b -> E.Mul (a, b)) sub sub);
+              (2, map2 (fun a b -> E.Div (a, b)) sub positive);
+              (1, map2 (fun a b -> E.Div (a, b)) sub sub);
+              (1, map (fun a -> E.Sin a) sub);
+              (1, map (fun a -> E.Cos a) sub);
+              (1, map (fun a -> E.Add (E.Sin a, E.Cos a)) sub);
+              (1, map (fun a -> E.Exp (E.Atan a)) sub);
+              (2, map (fun a -> E.Sqrt a) positive);
+              (1, map (fun a -> E.Sqrt a) sub);
+              (1, map (fun a -> E.Sqr a) sub);
+              (1, map (fun a -> E.Atan a) sub);
+              (1, map2 (fun a n -> E.Pow (a, n)) sub (int_bound 4));
+            ])
+      4)
+
+let arb_tape_case =
+  let gen =
+    QCheck.Gen.(
+      let* dim = int_range 1 3 in
+      let* rhs = array_repeat dim (gen_expr ~dim) in
+      let* order = int_range 1 8 in
+      let* time =
+        oneof
+          [
+            map I.of_float (float_range 0.0 2.0);
+            map (fun t -> I.make t (t +. 0.1)) (float_range 0.0 2.0);
+          ]
+      in
+      let* state = map B.of_intervals (array_repeat dim gen_interval) in
+      let* inputs = map B.of_intervals (array_repeat 2 gen_interval) in
+      let* given = array_repeat dim (array_repeat (order + 1) gen_interval) in
+      return { rhs; order; time; state; inputs; given })
+  in
+  QCheck.make
+    ~print:(fun c ->
+      Format.asprintf "order %d, time %a, rhs [%a]" c.order I.pp c.time
+        (Format.pp_print_list
+           ~pp_sep:(fun f () -> Format.fprintf f "; ")
+           E.pp)
+        (Array.to_list c.rhs))
+    gen
+
+let prop_tape_matches_reference =
+  QCheck.Test.make ~count:500
+    ~name:"tape coefficients bit-identical to the recursive evaluator"
+    arb_tape_case (fun c ->
+      let tape = Series.compile c.rhs in
+      let { order; time; state; inputs; given; _ } = c in
+      same_outcome
+        (fun () -> Ref.solution_coeffs ~rhs:c.rhs ~order ~time ~state ~inputs)
+        (fun () -> Series.solution_coeffs tape ~order ~time ~state ~inputs)
+      && same_outcome
+           (fun () -> Ref.eval ~rhs:c.rhs ~order ~time ~state:given ~inputs)
+           (fun () -> Series.eval tape ~order ~time ~state:given ~inputs))
+
+(* the E1b ACAS Xu box under the strong-left command *)
+let test_tape_acas_plant () =
+  let module D = Nncs_acasxu.Defs in
+  let sys = Nncs_acasxu.Dynamics.plant in
+  let state =
+    B.of_bounds
+      [| (-100.0, 0.0); (7900.0, 8000.0); (3.0, 3.05); (700.0, 700.0); (600.0, 600.0) |]
+  in
+  let inputs = Nncs.Command.value_box D.commands (D.index D.Strong_left) in
+  let jacobian =
+    Array.concat
+      (Array.to_list
+         (Array.map (fun e -> Array.init sys.Ode.dim (E.diff e)) sys.Ode.rhs))
+  in
+  List.iter
+    (fun order ->
+      List.iter
+        (fun time ->
+          let z = Series.solution_coeffs sys.Ode.tape ~order ~time ~state ~inputs in
+          check "solve mode bit-identical" true
+            (same_series
+               (Ref.solution_coeffs ~rhs:sys.Ode.rhs ~order ~time ~state ~inputs)
+               z);
+          (* the Jacobian entries over the solution series, as the
+             Loehner step evaluates them *)
+          check "given mode bit-identical" true
+            (same_series
+               (Ref.eval ~rhs:jacobian ~order ~time ~state:z ~inputs)
+               (Series.eval sys.Ode.jacobian_tape ~order ~time ~state:z ~inputs)))
+        [ I.of_float 0.0; I.make 0.0 0.1 ])
+    [ 6; 8 ]
+
+(* sqrt over [0, 1]: 2 r0 contains 0, and the reference divided by it on
+   its first pass even at order 1, where no degree 1 is ever computed *)
+let test_sqrt_zero_divisor_parity () =
+  let rhs = [| E.Sqrt (E.State 0) |] in
+  let tape = Series.compile rhs in
+  let sys = Ode.make ~dim:1 ~input_dim:1 rhs in
+  let state = B.of_bounds [| (0.0, 1.0) |] in
+  List.iter
+    (fun order ->
+      let raises what f =
+        Alcotest.check_raises
+          (Printf.sprintf "%s raises at order %d" what order)
+          I.Division_by_zero_interval (fun () -> ignore (f ()))
+      in
+      raises "reference" (fun () ->
+          Ref.solution_coeffs ~rhs ~order ~time:I.zero ~state ~inputs:no_inputs);
+      raises "tape" (fun () ->
+          Series.solution_coeffs tape ~order ~time:I.zero ~state
+            ~inputs:no_inputs);
+      raises "validated step" (fun () ->
+          Onestep.step sys ~order ~t1:0.0 ~h:0.01 ~state ~inputs:no_inputs))
+    [ 1; 6 ]
+
+let test_lohner_one_apriori_per_step () =
+  let calls = Nncs_obs.Metrics.counter "ode.apriori_calls" in
+  let before = Nncs_obs.Metrics.value calls in
+  ignore
+    (Lohner.step vanderpol ~order:6 ~t1:0.0 ~h:0.05 ~inputs:no_inputs
+       (Lohner.init (B.of_bounds [| (1.2, 1.3); (0.0, 0.1) |])));
+  Alcotest.(check int) "apriori enclosures per step" 1
+    (Nncs_obs.Metrics.value calls - before)
+
 let additional_tests =
   [
     ( "lohner",
@@ -364,7 +702,16 @@ let additional_tests =
           test_lohner_beats_direct_on_rotation;
         Alcotest.test_case "sound on van der pol" `Quick test_lohner_sound_nonlinear;
         Alcotest.test_case "jacobian enclosure" `Quick test_jacobian_enclosure_linear;
+        Alcotest.test_case "one apriori enclosure per step" `Quick
+          test_lohner_one_apriori_per_step;
         QCheck_alcotest.to_alcotest prop_diff_matches_finite_difference;
+      ] );
+    ( "tape",
+      [
+        QCheck_alcotest.to_alcotest prop_tape_matches_reference;
+        Alcotest.test_case "acas plant bit-identical" `Quick test_tape_acas_plant;
+        Alcotest.test_case "sqrt zero divisor raises at every order" `Quick
+          test_sqrt_zero_divisor_parity;
       ] );
   ]
 
