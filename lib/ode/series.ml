@@ -48,8 +48,8 @@ let compile exprs =
   in
   let const c = intern (Const (Int64.bits_of_float c)) in
   let mul a b = intern (Mul (a, b)) in
-  (* the product chain of binary powering, starting from the constant
-     series 1 as the series operators did *)
+  (* binary powering as a chain of product nodes, starting from the
+     constant 1: a product with 1 still rounds outward, so it stays *)
   let pow a n =
     if n < 0 then invalid_arg "Series.compile: negative exponent";
     let rec go acc base n =
@@ -209,7 +209,6 @@ let solution_coeffs tape ~order:k ~time ~state ~inputs =
   z
 
 let eval tape ~order:k ~time ~state ~inputs =
-  if k < 0 then invalid_arg "Series.eval: negative order";
   Array.iter
     (fun s ->
       if Array.length s <> k + 1 then
