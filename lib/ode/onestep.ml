@@ -8,10 +8,14 @@ let step sys ~order ~t1 ~h ~state ~inputs =
   if order < 1 then invalid_arg "Onestep.step: order must be >= 1";
   let prior = Apriori.enclosure sys ~t1 ~h ~state ~inputs in
   (* Coefficients 0..K-1 from the initial box at t = t1; coefficient K
-     (Lagrange remainder) from the a-priori box over the step. *)
+     (Lagrange remainder) from the a-priori box over the step.  Degree n
+     of a solution does not depend on the order it is solved to, and
+     every check that can raise runs at degree 0, so solving the first
+     series to K-1 gives the same coefficients and exceptions for one
+     pass less. *)
   let zs =
-    Series.solution_coeffs sys.Ode.tape ~order ~time:(I.of_float t1) ~state
-      ~inputs
+    Series.solution_coeffs sys.Ode.tape ~order:(max 1 (order - 1))
+      ~time:(I.of_float t1) ~state ~inputs
   in
   let zr =
     Series.solution_coeffs sys.Ode.tape ~order

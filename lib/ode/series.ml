@@ -180,7 +180,15 @@ let fill tape planes ~order:k n =
     | Atan (a, g) ->
         (* t' * g = a' with g = 1 + a^2 *)
         let a = planes.(a) and g = planes.(g) in
-        if n = 0 then p.(0) <- I.atan a.(0)
+        if n = 0 then begin
+          p.(0) <- I.atan a.(0);
+          (* Degree n >= 1 divides by n g0, and g0 = 1 + a0 * a0 is an
+             interval product: it contains 0 when a0 straddles 0 widely.
+             n = 1 gives the lowest lower bound, so checking it here
+             raises exactly when some degree >= 1 would, as for Sqrt. *)
+          if k >= 1 && I.contains (I.mul_float 1.0 g.(0)) 0.0 then
+            raise I.Division_by_zero_interval
+        end
         else begin
           let acc = ref (I.mul_float (float_of_int n) a.(n)) in
           for j = 1 to n - 1 do

@@ -660,28 +660,80 @@ let test_tape_acas_plant () =
         [ I.of_float 0.0; I.make 0.0 0.1 ])
     [ 6; 8 ]
 
-(* sqrt over [0, 1]: 2 r0 contains 0, and the reference divided by it on
-   its first pass even at order 1, where no degree 1 is ever computed *)
-let test_sqrt_zero_divisor_parity () =
-  let rhs = [| E.Sqrt (E.State 0) |] in
-  let tape = Series.compile rhs in
-  let sys = Ode.make ~dim:1 ~input_dim:1 rhs in
-  let state = B.of_bounds [| (0.0, 1.0) |] in
+(* the direct step as it was built on the reference evaluator, with
+   both series solved to the full order *)
+let ref_onestep sys ~order ~t1 ~h ~state ~inputs =
+  let prior = Apriori.enclosure sys ~t1 ~h ~state ~inputs in
+  let rhs = sys.Ode.rhs in
+  let zs = Ref.solution_coeffs ~rhs ~order ~time:(I.of_float t1) ~state ~inputs in
+  let zr =
+    Ref.solution_coeffs ~rhs ~order
+      ~time:(I.make t1 (Nncs_interval.Rounding.add_up t1 h))
+      ~state:prior ~inputs
+  in
+  let expand d =
+    Array.init sys.Ode.dim (fun i ->
+        Series.horner
+          (Array.init (order + 1) (fun k ->
+               if k < order then zs.(i).(k) else zr.(i).(k)))
+          d)
+  in
+  let range = B.of_intervals (expand (I.make 0.0 h)) in
+  ( (match B.meet range prior with Some m -> m | None -> range),
+    B.of_intervals (expand (I.of_float h)) )
+
+let test_onestep_matches_reference () =
+  let module D = Nncs_acasxu.Defs in
+  let acas =
+    B.of_bounds
+      [| (-100.0, 0.0); (7900.0, 8000.0); (3.0, 3.05); (700.0, 700.0); (600.0, 600.0) |]
+  in
+  let cases =
+    List.init 5 (fun c ->
+        (Nncs_acasxu.Dynamics.plant, acas, Nncs.Command.value_box D.commands c))
+    @ [ (vanderpol, B.of_bounds [| (1.2, 1.3); (0.0, 0.1) |], no_inputs) ]
+  in
   List.iter
-    (fun order ->
-      let raises what f =
-        Alcotest.check_raises
-          (Printf.sprintf "%s raises at order %d" what order)
-          I.Division_by_zero_interval (fun () -> ignore (f ()))
-      in
-      raises "reference" (fun () ->
-          Ref.solution_coeffs ~rhs ~order ~time:I.zero ~state ~inputs:no_inputs);
-      raises "tape" (fun () ->
-          Series.solution_coeffs tape ~order ~time:I.zero ~state
-            ~inputs:no_inputs);
-      raises "validated step" (fun () ->
-          Onestep.step sys ~order ~t1:0.0 ~h:0.01 ~state ~inputs:no_inputs))
-    [ 1; 6 ]
+    (fun (sys, state, inputs) ->
+      List.iter
+        (fun order ->
+          let r = Onestep.step sys ~order ~t1:0.5 ~h:0.1 ~state ~inputs in
+          let range, endpoint = ref_onestep sys ~order ~t1:0.5 ~h:0.1 ~state ~inputs in
+          let boxes b = [| B.to_array b |] in
+          check "range bit-identical" true (same_series (boxes range) (boxes r.range));
+          check "endpoint bit-identical" true
+            (same_series (boxes endpoint) (boxes r.endpoint)))
+        [ 1; 2; 6; 8 ])
+    cases
+
+(* Divisors that only degrees >= 1 use, which the reference divided by on
+   its first pass even at order 1, where no pass of the tape reaches
+   degree 1: sqrt over [0, 1] has 2 r0 = [0, 2], and atan over [-2, 2]
+   has g0 = 1 + [-2, 2] * [-2, 2] = [-3, 5]. *)
+let test_zero_divisor_parity () =
+  List.iter
+    (fun (e, lo, hi) ->
+      let rhs = [| e |] in
+      let tape = Series.compile rhs in
+      let sys = Ode.make ~dim:1 ~input_dim:1 rhs in
+      let state = B.of_bounds [| (lo, hi) |] in
+      List.iter
+        (fun order ->
+          let raises what f =
+            Alcotest.check_raises
+              (Format.asprintf "%s raises on %a at order %d" what E.pp e order)
+              I.Division_by_zero_interval (fun () -> ignore (f ()))
+          in
+          raises "reference" (fun () ->
+              Ref.solution_coeffs ~rhs ~order ~time:I.zero ~state
+                ~inputs:no_inputs);
+          raises "tape" (fun () ->
+              Series.solution_coeffs tape ~order ~time:I.zero ~state
+                ~inputs:no_inputs);
+          raises "validated step" (fun () ->
+              Onestep.step sys ~order ~t1:0.0 ~h:0.01 ~state ~inputs:no_inputs))
+        [ 1; 2; 6 ])
+    [ (E.Sqrt (E.State 0), 0.0, 1.0); (E.Atan (E.State 0), -2.0, 2.0) ]
 
 let test_lohner_one_apriori_per_step () =
   let calls = Nncs_obs.Metrics.counter "ode.apriori_calls" in
@@ -710,8 +762,10 @@ let additional_tests =
       [
         QCheck_alcotest.to_alcotest prop_tape_matches_reference;
         Alcotest.test_case "acas plant bit-identical" `Quick test_tape_acas_plant;
-        Alcotest.test_case "sqrt zero divisor raises at every order" `Quick
-          test_sqrt_zero_divisor_parity;
+        Alcotest.test_case "direct step bit-identical" `Quick
+          test_onestep_matches_reference;
+        Alcotest.test_case "zero divisors raise at every order" `Quick
+          test_zero_divisor_parity;
       ] );
   ]
 
