@@ -628,14 +628,17 @@ let prop_tape_matches_reference =
            (fun () -> Ref.eval ~rhs:c.rhs ~order ~time ~state:given ~inputs)
            (fun () -> Series.eval tape ~order ~time ~state:given ~inputs))
 
-(* the E1b ACAS Xu box under the strong-left command *)
-let test_tape_acas_plant () =
-  let module D = Nncs_acasxu.Defs in
-  let sys = Nncs_acasxu.Dynamics.plant in
-  let state =
+module D = Nncs_acasxu.Defs
+
+(* the ACAS Xu box of bench E1 and E1b *)
+let acas_box =
     B.of_bounds
       [| (-100.0, 0.0); (7900.0, 8000.0); (3.0, 3.05); (700.0, 700.0); (600.0, 600.0) |]
-  in
+
+(* the E1b case: the strong-left command *)
+let test_tape_acas_plant () =
+  let sys = Nncs_acasxu.Dynamics.plant in
+  let state = acas_box in
   let inputs = Nncs.Command.value_box D.commands (D.index D.Strong_left) in
   let jacobian =
     Array.concat
@@ -683,14 +686,9 @@ let ref_onestep sys ~order ~t1 ~h ~state ~inputs =
     B.of_intervals (expand (I.of_float h)) )
 
 let test_onestep_matches_reference () =
-  let module D = Nncs_acasxu.Defs in
-  let acas =
-    B.of_bounds
-      [| (-100.0, 0.0); (7900.0, 8000.0); (3.0, 3.05); (700.0, 700.0); (600.0, 600.0) |]
-  in
   let cases =
     List.init 5 (fun c ->
-        (Nncs_acasxu.Dynamics.plant, acas, Nncs.Command.value_box D.commands c))
+        (Nncs_acasxu.Dynamics.plant, acas_box, Nncs.Command.value_box D.commands c))
     @ [ (vanderpol, B.of_bounds [| (1.2, 1.3); (0.0, 0.1) |], no_inputs) ]
   in
   List.iter
