@@ -23,7 +23,7 @@ module Tr = Nncs_nnabs.Transformer
 open Nncs
 
 let section name = Printf.printf "\n===== %s =====\n%!" name
-let now () = Unix.gettimeofday ()
+let now = Nncs_obs.Clock.monotonic_s
 
 (* --tiny: deliberately under-trained models (CI smoke mode — seconds
    instead of hours; verdicts are meaningless, shapes are not) *)
@@ -622,18 +622,17 @@ let e12 () =
   Printf.printf "cache report written to %s\n" !cache_out
 
 (* ------------------------------------------------------------------ *)
-(* E13: leaf scheduler - work-stealing frontier vs per-cell queue       *)
+(* E13: leaf frontier - sequential vs 4 and 8 workers                    *)
 (* ------------------------------------------------------------------ *)
 
 let leaf_out = ref "BENCH_leaf_sched.json"
 
 let e13 () =
-  section "E13 / leaf scheduler - work-stealing frontier vs per-cell queue";
+  section "E13 / leaf frontier - sequential vs 4 and 8 workers";
   (* a deliberately skewed partition: a handful of cells next to the
      collision cylinder refine to max_depth while their neighbours prove
-     at depth 0.  Under the per-cell queue the hard cells serialize on
-     whichever worker picked them up; the leaf frontier fans their
-     subtrees out across all workers *)
+     at depth 0.  The leaf frontier fans the hard cells' subtrees out
+     across all workers; the verdicts must not depend on how many *)
   let sys = S.system ~networks:(Lazy.force networks) () in
   let cells =
     if !tiny then
@@ -643,55 +642,47 @@ let e13 () =
         (S.initial_cells ~arcs:12 ~headings:6 ~arc_indices:[ 2; 3 ] ())
   in
   let max_depth = if !tiny then 1 else 2 in
-  let config ~scheduler ~workers =
+  let config workers =
     {
       Verify.default_config with
       reach = { Reach.default_config with keep_sets = false };
       strategy = Verify.All_dims [ D.ix; D.iy; D.ipsi ];
       max_depth;
       workers;
-      scheduler;
     }
   in
-  let signature = report_signature in
   let m_steals = Nncs_obs.Metrics.counter "verify.steals" in
-  let run label scheduler workers =
+  let run workers =
     let s0 = Nncs_obs.Metrics.value m_steals in
     let t0 = now () in
-    let report =
-      Verify.verify_partition ~config:(config ~scheduler ~workers) sys cells
-    in
+    let report = Verify.verify_partition ~config:(config workers) sys cells in
     let dt = now () -. t0 in
     let steals = Nncs_obs.Metrics.value m_steals - s0 in
-    Printf.printf
-      "%-12s %8.2f s   coverage %5.1f%%   steals %5d\n%!" label dt
-      report.Verify.coverage steals;
-    (signature report, report.Verify.coverage, dt, steals)
+    Printf.printf "workers=%-3d %8.2f s   coverage %5.1f%%   steals %5d\n%!"
+      workers dt report.Verify.coverage steals;
+    (report_signature report, report.Verify.coverage, dt, steals)
   in
-  let sig_seq, coverage, t_seq, _ = run "sequential" Verify.Cells 1 in
-  let variant workers =
-    let sig_c, _, t_c, _ = run (Printf.sprintf "cells/%d" workers) Verify.Cells workers in
-    let sig_l, _, t_l, steals =
-      run (Printf.sprintf "leaves/%d" workers) Verify.Leaves workers
-    in
-    let ok = sig_c = sig_seq && sig_l = sig_seq in
-    (workers, t_c, t_l, steals, ok)
+  let sig_seq, coverage, t_seq, _ = run 1 in
+  let variants =
+    List.map
+      (fun workers ->
+        let sig_w, _, t_w, steals = run workers in
+        (workers, t_w, steals, sig_w = sig_seq))
+      [ 4; 8 ]
   in
-  let variants = List.map variant [ 4; 8 ] in
-  let verdicts_match = List.for_all (fun (_, _, _, _, ok) -> ok) variants in
+  let verdicts_match = List.for_all (fun (_, _, _, ok) -> ok) variants in
   List.iter
-    (fun (w, t_c, t_l, _, _) ->
-      Printf.printf "workers=%d: leaves %.2fx vs cells (%.2f s -> %.2f s)\n" w
-        (if t_l > 0.0 then t_c /. t_l else 0.0)
-        t_c t_l)
+    (fun (w, t_w, _, _) ->
+      Printf.printf "workers=%d: %.2fx vs sequential (%.2f s -> %.2f s)\n" w
+        (if t_w > 0.0 then t_seq /. t_w else 0.0)
+        t_seq t_w)
     variants;
-  Printf.printf "verdicts identical across schedulers: %b\n" verdicts_match;
+  Printf.printf "verdicts identical across worker counts: %b\n" verdicts_match;
   let module J = Nncs_obs.Json in
   (* wall-clock comparisons only mean something relative to the host's
      core count: on a single-core CI runner every multi-domain config
-     loses to sequential (stop-the-world GC synchronizes all domains),
-     and the frontier's whole point — keeping every domain busy — makes
-     it the worst off.  Record the cores so readers can tell *)
+     loses to sequential (stop-the-world GC synchronizes all domains).
+     Record the cores so readers can tell *)
   Printf.printf "host cores (recommended domains): %d\n"
     (Domain.recommended_domain_count ());
   let json =
@@ -706,12 +697,11 @@ let e13 () =
          ("verdicts_match", J.Bool verdicts_match);
        ]
       @ List.concat_map
-          (fun (w, t_c, t_l, steals, _) ->
+          (fun (w, t_w, steals, _) ->
             [
-              (Printf.sprintf "t_cells_%d_s" w, J.Num t_c);
-              (Printf.sprintf "t_leaves_%d_s" w, J.Num t_l);
-              ( Printf.sprintf "speedup_leaves_%d" w,
-                J.Num (if t_l > 0.0 then t_c /. t_l else 0.0) );
+              (Printf.sprintf "t_workers_%d_s" w, J.Num t_w);
+              ( Printf.sprintf "speedup_%d" w,
+                J.Num (if t_w > 0.0 then t_seq /. t_w else 0.0) );
               (Printf.sprintf "steals_%d" w, J.Num (float_of_int steals));
             ])
           variants)
@@ -720,7 +710,7 @@ let e13 () =
   output_string oc (J.to_string json);
   output_char oc '\n';
   close_out oc;
-  Printf.printf "leaf-scheduler report written to %s\n" !leaf_out
+  Printf.printf "leaf-frontier report written to %s\n" !leaf_out
 
 (* ------------------------------------------------------------------ *)
 (* E14: verification service - memo and cache tiers vs full runs        *)
@@ -1134,7 +1124,6 @@ let e16 () =
       strategy = Verify.All_dims [ D.ix; D.iy; D.ipsi ];
       max_depth;
       workers = 1;
-      scheduler = Verify.Leaves;
       batch_leaves;
     }
   in

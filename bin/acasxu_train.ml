@@ -13,11 +13,11 @@ let run dir hidden samples epochs seed force quiet =
       (T.policy_path ~dir
       :: List.init 5 (fun prev -> T.network_path ~dir ~prev));
   let spec = { T.default_spec with hidden; samples; epochs; seed } in
-  let t0 = Unix.gettimeofday () in
+  let t0 = Nncs_obs.Clock.monotonic_s () in
   let policy, networks = T.load_or_train ~spec ~dir () in
   if not quiet then begin
     Printf.printf "policy + networks ready in %.1f s (dir: %s)\n"
-      (Unix.gettimeofday () -. t0)
+      (Nncs_obs.Clock.elapsed_s ~since:t0)
       dir;
     Array.iteri
       (fun prev net ->

@@ -10,6 +10,7 @@ module System = Nncs.System
 module Controller = Nncs.Controller
 module Reach = Nncs.Reach
 module Verify = Nncs.Verify
+module Codec = Nncs.Codec
 module Partition = Nncs.Partition
 
 type config = {
@@ -157,15 +158,6 @@ let covering_cells ~edges ~grid ~domain box =
    on.  Deliberately mirrors [Verify.fingerprint]'s blind spot: network
    weights are NOT hashed, so a table only answers for the network set
    it was built with — the documented caveat of DESIGN.md §16. *)
-let fnv1a64 s =
-  let h = ref 0xcbf29ce484222325L in
-  String.iter
-    (fun c ->
-      h := Int64.logxor !h (Int64.of_int (Char.code c));
-      h := Int64.mul !h 0x100000001b3L)
-    s;
-  Printf.sprintf "%016Lx" !h
-
 let fingerprint config sys =
   validate_config config;
   let buf = Buffer.create 1024 in
@@ -216,17 +208,11 @@ let fingerprint config sys =
         (sys.System.target.Spec.contains_point m u)
     done
   done;
-  fnv1a64 (Buffer.contents buf)
+  Codec.fnv1a64 (Buffer.contents buf)
 
 (* ----- journal records ----- *)
 
 let num_int n = Json.Num (float_of_int n)
-
-let box_bounds_json b =
-  Json.List
-    (List.init (B.dim b) (fun i ->
-         let iv = B.get b i in
-         Json.List [ Json.Num (I.lo iv); Json.Num (I.hi iv) ]))
 
 let meta_json ~fingerprint ~grid ~domain ~ncmds ~escape_unsafe ~nstates =
   Json.Obj
@@ -235,7 +221,7 @@ let meta_json ~fingerprint ~grid ~domain ~ncmds ~escape_unsafe ~nstates =
       ("v", num_int 1);
       ("fingerprint", Json.Str fingerprint);
       ("grid", Json.List (Array.to_list (Array.map num_int grid)));
-      ("domain", box_bounds_json domain);
+      ("domain", Codec.box_to_json domain);
       ("commands", num_int ncmds);
       ("escape_unsafe", Json.Bool escape_unsafe);
       ("states", num_int nstates);
@@ -585,7 +571,7 @@ let save_table t path =
                  ("cell", num_int cell);
                  ("cmd", num_int cmd);
                  ("k", num_int k);
-                 ("box", box_bounds_json (cell_box t.t_edges t.t_grid cell));
+                 ("box", Codec.box_to_json (cell_box t.t_edges t.t_grid cell));
                ]))
         entries;
       Journal.write w
@@ -614,16 +600,8 @@ let load path =
             let grid = Array.of_list (ints "grid") in
             let domain =
               match Json.member "domain" meta with
-              | Some (Json.List dims) ->
-                  B.of_bounds
-                    (Array.of_list
-                       (List.map
-                          (function
-                            | Json.List [ lo; hi ] ->
-                                (Json.to_float lo, Json.to_float hi)
-                            | _ -> failwith "meta: malformed domain")
-                          dims))
-              | _ -> failwith "meta missing domain"
+              | Some d -> Codec.box_of_json d
+              | None -> failwith "meta missing domain"
             in
             let req k =
               match Json.member k meta with
@@ -841,7 +819,7 @@ let finding_to_json f =
       ("cmd", num_int f.f_cmd);
       ("kind", Json.Str kind);
       extra;
-      ("box", box_bounds_json f.f_box);
+      ("box", Codec.box_to_json f.f_box);
     ]
 
 let cross_check_to_json c =

@@ -1,3 +1,5 @@
+module Clock = Nncs_obs.Clock
+
 type verdict = Proved | Falsified of float array | Unknown
 
 type config = {
@@ -22,8 +24,9 @@ type report = {
 }
 
 let classify config sys cell =
-  let t0 = Unix.gettimeofday () in
-  let vr = Nncs.Verify.verify_cell ~config:config.verify sys cell in
+  let t0 = Clock.monotonic_s () in
+  let report = Nncs.Verify.verify_partition ~config:config.verify sys [ cell ] in
+  let vr = List.hd report.Nncs.Verify.cells in
   let proved_fraction = vr.Nncs.Verify.proved_fraction in
   let verdict =
     if proved_fraction >= 1.0 -. 1e-12 then Proved
@@ -50,10 +53,10 @@ let classify config sys cell =
       hunt unproved
     end
   in
-  { cell; verdict; proved_fraction; elapsed = Unix.gettimeofday () -. t0 }
+  { cell; verdict; proved_fraction; elapsed = Clock.elapsed_s ~since:t0 }
 
 let triage config sys cells =
-  let t0 = Unix.gettimeofday () in
+  let t0 = Clock.monotonic_s () in
   let results = List.map (classify config sys) cells in
   let count p = List.length (List.filter p results) in
   {
@@ -62,5 +65,5 @@ let triage config sys cells =
     falsified =
       count (fun r -> match r.verdict with Falsified _ -> true | _ -> false);
     unknown = count (fun r -> r.verdict = Unknown);
-    elapsed = Unix.gettimeofday () -. t0;
+    elapsed = Clock.elapsed_s ~since:t0;
   }

@@ -18,9 +18,8 @@ let m_retry_halved = Metrics.counter "resilience.retry_halved_step"
 let m_fallback_interval = Metrics.counter "resilience.fallback_interval"
 let m_unknown_leaves = Metrics.counter "resilience.unknown_leaves"
 let m_worker_crashes = Metrics.counter "resilience.worker_crashes"
-let m_requeued_cells = Metrics.counter "resilience.requeued_cells"
 
-(* leaf-scheduler instruments (see DESIGN.md "Leaf scheduler") *)
+(* leaf-frontier instruments (see DESIGN.md "Leaf scheduler") *)
 let m_steals = Metrics.counter "verify.steals"
 let m_requeued_leaves = Metrics.counter "resilience.requeued_leaves"
 let m_replayed_leaves = Metrics.counter "verify.replayed_leaves"
@@ -36,6 +35,7 @@ type split_strategy =
   | All_dims of int list
   | Most_influential of { candidates : int list; take : int }
 
+(* inert: every value runs the leaf frontier (see verify.mli) *)
 type scheduler = Cells | Leaves
 
 type config = {
@@ -57,7 +57,7 @@ let default_config =
     workers = 1;
     limits = Budget.unlimited;
     degrade = true;
-    scheduler = Cells;
+    scheduler = Leaves;
     batch_leaves = 1;
   }
 
@@ -218,91 +218,6 @@ let unknown_leaf ?(rungs = []) ?(elapsed = 0.0) ~depth st f =
   Metrics.incr m_unknown_leaves;
   { state = st; depth; proved = false; result = Failed f; rungs; elapsed }
 
-let verify_cell ?cancel ?(config = default_config) ?(index = 0) sys cell =
-  if config.max_depth < 0 then invalid_arg "Verify.verify_cell: negative depth";
-  (match config.strategy with
-  | All_dims [] | Most_influential { candidates = []; _ }
-    when config.max_depth > 0 ->
-      invalid_arg "Verify.verify_cell: no split dimensions"
-  | All_dims _ | Most_influential _ -> ());
-  let factor = float_of_int (1 lsl strategy_arity config.strategy) in
-  let budget = Budget.start ?cancel config.limits in
-  let rec go depth st =
-    let (verdict, rungs, dt) =
-      Span.with_ "verify.leaf"
-        ~attrs:[ ("depth", Nncs_obs.Trace.Int depth) ]
-        (fun () -> run_leaf config budget sys st)
-    in
-    Metrics.incr m_leaves;
-    let proved =
-      match verdict with Ok r -> Reach.is_proved_safe r | Error _ -> false
-    in
-    if proved then Metrics.incr m_proved_leaves;
-    let out_of_budget =
-      match verdict with
-      | Error (Failure_.Budget_exceeded _ | Failure_.Cancelled _) -> true
-      | _ -> false
-    in
-    (* refinement also drives "could not conclude": a failed leaf is
-       split like an unproved one (smaller boxes often restore the
-       enclosure) — except when the budget is gone or the job was
-       cancelled, where splitting would only multiply the failures *)
-    if proved || depth >= config.max_depth || out_of_budget then begin
-      (match verdict with
-      | Ok r ->
-          [
-            {
-              state = st;
-              depth;
-              proved;
-              result = Completed r.Reach.outcome;
-              rungs;
-              elapsed = dt;
-            };
-          ]
-      | Error f -> [ unknown_leaf ~rungs ~elapsed:dt ~depth st f ])
-    end
-    else
-      List.concat_map (go (depth + 1))
-        (Symstate.split st (dims_to_split config sys st))
-  in
-  let t0 = now () in
-  let span =
-    Span.enter ~attrs:[ ("index", Nncs_obs.Trace.Int index) ] "verify.cell"
-  in
-  let leaves =
-    Fun.protect
-      ~finally:(fun () -> Span.exit span)
-      (fun () ->
-        (* the per-cell firewall: any exception the per-leaf ladder did
-           not absorb (strategy evaluation, splitting, injected faults,
-           plain bugs) degrades this one cell to Unknown *)
-        match
-          Firewall.protect ~classify:Reach.classify (fun () ->
-              Fault.trigger ~key:(string_of_int index) "verify.cell";
-              go 0 cell)
-        with
-        | Ok leaves -> leaves
-        | Error f -> [ unknown_leaf ~depth:0 cell f ])
-  in
-  Metrics.incr m_cells;
-  let proved_fraction =
-    (List.fold_left
-       (fun acc leaf ->
-         if leaf.proved then acc +. (1.0 /. (factor ** float_of_int leaf.depth))
-         else acc)
-       0.0 leaves)
-    [@lint.fp_exact
-      "progress accounting for reports: verdicts come from the leaf \
-       proofs, not from this number"]
-  in
-  {
-    index;
-    leaves;
-    proved_fraction;
-    elapsed = Nncs_obs.Clock.elapsed_s ~since:t0;
-  }
-
 let coverage_of_cells cells =
   match cells with
   | [] -> 100.0
@@ -312,116 +227,46 @@ let coverage_of_cells cells =
       /. float_of_int (List.length cells))
       [@lint.fp_exact "coverage percentage for reports only"]
 
-let crashed_cell_report index st msg =
-  {
-    index;
-    leaves = [ unknown_leaf ~depth:0 st (Failure_.Worker_crashed msg) ];
-    proved_fraction = 0.0;
-    elapsed = 0.0;
-  }
+(* ----- the leaf frontier -----
 
-(* ----- the per-cell scheduler (config.scheduler = Cells) -----
-
-   The original flat work queue: each pending cell index is one task; a
-   worker runs the cell's whole refinement tree to completion. *)
-
-let run_cells ?cancel ~config ~count_once ~on_cell
-    ~(results : cell_report option array) ~(cells_arr : Symstate.t array) sys
-    pending =
-  let run_one i =
-    let r = verify_cell ?cancel ~config ~index:i sys cells_arr.(i) in
-    (match on_cell with Some f -> f r | None -> ());
-    count_once i;
-    r
-  in
-  let n_pending = List.length pending in
-  if config.workers <= 1 || n_pending <= 1 then
-    List.iter (fun i -> results.(i) <- Some (run_one i)) pending
-  else begin
-    (* Fault-isolated parallel workers over a shared queue.  Each worker
-       pulls the next pending index; a cell that raises through every
-       firewall is recorded as crashed (first try/with); a worker domain
-       that dies wholesale (fatal exception) forfeits its unrecorded
-       cells, which the recovery sweep below re-runs in this domain. *)
-    let queue = Array.of_list pending in
-    let next = Atomic.make 0 in
-    let nworkers = min config.workers n_pending in
-    let worker w () =
-      Span.with_ "verify.worker"
-        ~attrs:[ ("worker", Nncs_obs.Trace.Int w) ]
-        (fun () ->
-          let out = ref [] in
-          let rec pull () =
-            let k = Atomic.fetch_and_add next 1 in
-            if k < Array.length queue then begin
-              let i = queue.(k) in
-              (try out := (i, run_one i) :: !out
-               with e when not (Firewall.fatal e) ->
-                 Metrics.incr m_worker_crashes;
-                 out :=
-                   (i, crashed_cell_report i cells_arr.(i) (Printexc.to_string e))
-                   :: !out;
-                 count_once i);
-              pull ()
-            end
-          in
-          pull ();
-          !out)
-    in
-    let domains = List.init nworkers (fun w -> Domain.spawn (worker w)) in
-    List.iter
-      (fun d ->
-        match Domain.join d with
-        | rs -> List.iter (fun (i, r) -> results.(i) <- Some r) rs
-        | exception _ ->
-            (* the domain died; its completed-but-unreported and
-               in-flight cells are still None and will be re-queued *)
-            Metrics.incr m_worker_crashes)
-      domains;
-    (* crash recovery: re-run every cell no surviving worker reported.
-       [count_once] keeps [progress] honest here: a re-run of a cell the
-       dead worker had already counted must not count again. *)
-    Array.iteri
-      (fun i r ->
-        if r = None then begin
-          Metrics.incr m_requeued_cells;
-          results.(i) <- Some (run_one i)
-        end)
-      results
-  end
-
-(* ----- the leaf-frontier scheduler (config.scheduler = Leaves) -----
-
-   One shared, depth- and width-prioritized deque of *leaves*: when a
-   leaf fails to prove and is split, its children go back onto the
-   global frontier that every worker domain pulls from, so the deep
-   refinement of one hard cell fans out across all cores instead of
-   serializing on the domain that happened to pick the cell up.
+   One shared, depth-prioritized deque of *leaves*: every cell's root
+   starts on it, and when a leaf fails to prove and is split, its
+   children go back onto the global frontier that every worker domain
+   pulls from, so the deep refinement of one hard cell fans out across
+   all cores instead of serializing on the domain that happened to pick
+   the cell up.
 
    Priority: deepest first (a hard cell's subtree completes, bounding
-   both the frontier size and the time to its journal record), widest
-   box first within a depth (the likely-slowest leaves start earliest —
-   LPT-style makespan insurance), and any leaf whose per-cell budget
-   deadline has already passed jumps the queue (it terminates in
-   microseconds and clears its cell's bookkeeping).
+   both the frontier size and the time to its journal record), then any
+   leaf whose per-cell budget has already expired (it terminates in
+   microseconds and clears its cell's bookkeeping), then the lowest
+   (cell, path).  With one worker that is exactly the depth-first
+   recursion of Section 7.1: cells in index order, each refinement
+   tree in pre-order, so progress, journal records and step-budget
+   verdicts follow the sequential order.
 
    Determinism: a leaf is identified by its path (the child indices
    from the cell's root); splitting is a deterministic function of the
    leaf's state, so the set of terminal leaves is independent of the
    execution order, and sorting each cell's completed leaves by path
-   reproduces exactly the depth-first leaf order of the sequential
-   path.  See DESIGN.md "Leaf scheduler". *)
+   reproduces exactly the depth-first leaf order at any worker count.
+   See DESIGN.md "Leaf scheduler". *)
 
 type task = {
   t_cell : int;
   t_path : int list;  (* child indices from the root; root = [] *)
   t_state : Symstate.t;
   t_depth : int;
-  t_width : float;
   t_done : bool Atomic.t;  (* claim flag: completion is idempotent *)
 }
 
 let compare_paths = List.compare Int.compare
+
+(* depth-first order: cell index, then path *)
+let compare_tasks a b =
+  match Int.compare a.t_cell b.t_cell with
+  | 0 -> compare_paths a.t_path b.t_path
+  | c -> c
 
 module Frontier = struct
   type t = {
@@ -445,8 +290,9 @@ module Frontier = struct
 
   (* [pop_where] restricts the pick to tasks satisfying [pred] while
      keeping the exact priority policy (deepest bucket, expired-first,
-     then widest) — the batched scheduler drains extra tasks that are
-     compatible with the one just popped (same network). *)
+     then lowest (cell, path)) — the batched scheduler drains extra
+     tasks that are compatible with the one just popped (same
+     network). *)
   let pop_where ~expired ~pred f =
     with_lock f (fun () ->
         let rec deepest d =
@@ -459,15 +305,13 @@ module Frontier = struct
         match deepest (Array.length f.buckets - 1) with
         | None -> None
         | Some (d, ts) ->
+            let lowest ts =
+              List.fold_left
+                (fun best t -> if compare_tasks t best < 0 then t else best)
+                (List.hd ts) ts
+            in
             let pick =
-              match List.find_opt expired ts with
-              | Some t -> t
-              | None ->
-                  List.fold_left
-                    (fun best t ->
-                      if Float.compare t.t_width best.t_width > 0 then t
-                      else best)
-                    (List.hd ts) ts
+              lowest (match List.filter expired ts with [] -> ts | ex -> ex)
             in
             f.buckets.(d) <- List.filter (fun t -> t != pick) f.buckets.(d);
             f.size <- f.size - 1;
@@ -613,9 +457,10 @@ let run_lockstep ~cache (bodies : (unit -> 'a) array) : 'a option array =
   drive ();
   results
 
-let run_leaves ?cancel ~config ~count_once ~on_cell ~on_leaf ~partial
-    ~(results : cell_report option array) ~(cells_arr : Symstate.t array) sys
-    pending =
+let verify_partition ?cancel ?(config = default_config) ?progress ?on_cell
+    ?on_leaf ?(completed = []) ?(partial = []) sys cells =
+  if config.batch_leaves < 1 then
+    invalid_arg "Verify.verify_partition: batch_leaves must be >= 1";
   if config.max_depth < 0 then
     invalid_arg "Verify.verify_partition: negative depth";
   (match config.strategy with
@@ -623,7 +468,22 @@ let run_leaves ?cancel ~config ~count_once ~on_cell ~on_leaf ~partial
     when config.max_depth > 0 ->
       invalid_arg "Verify.verify_partition: no split dimensions"
   | All_dims _ | Most_influential _ -> ());
+  let t0 = now () in
+  let cells_arr = Array.of_list cells in
   let total = Array.length cells_arr in
+  let results = Array.make total None in
+  List.iter
+    (fun (c : cell_report) ->
+      if c.index >= 0 && c.index < total then results.(c.index) <- Some c)
+    completed;
+  let pending =
+    List.filter (fun i -> results.(i) = None) (List.init total Fun.id)
+  in
+  (* a shared atomic counter so every worker reports each finished cell
+     live (the callback then runs on the worker's domain); a cell
+     finishes exactly once, when its last leaf completes, so crash
+     recovery cannot push [progress] past [total] *)
+  let done_count = Atomic.make (total - List.length pending) in
   let factor = float_of_int (1 lsl strategy_arity config.strategy) in
   let frontier = Frontier.create (config.max_depth + 1) in
   (* one budget per cell, shared by all of its leaves across domains
@@ -678,7 +538,6 @@ let run_leaves ?cancel ~config ~count_once ~on_cell ~on_leaf ~partial
       t_path = path;
       t_state = st;
       t_depth = depth;
-      t_width = Nncs_interval.Box.max_width st.Symstate.box;
       t_done = Atomic.make false;
     }
   in
@@ -735,7 +594,9 @@ let run_leaves ?cancel ~config ~count_once ~on_cell ~on_leaf ~partial
       | Some r ->
           safely (fun () ->
               match on_cell with Some f -> f r | None -> ());
-          safely (fun () -> count_once task.t_cell)
+          safely (fun () ->
+              let d = Atomic.fetch_and_add done_count 1 + 1 in
+              match progress with Some f -> f d total | None -> ())
       | None -> ()
     end
   in
@@ -803,6 +664,10 @@ let run_leaves ?cancel ~config ~count_once ~on_cell ~on_leaf ~partial
           | Error (Failure_.Budget_exceeded _ | Failure_.Cancelled _) -> true
           | _ -> false
         in
+        (* refinement also drives "could not conclude": a failed leaf is
+           split like an unproved one (smaller boxes often restore the
+           enclosure) — except when the budget is gone or the job was
+           cancelled, where splitting would only multiply the failures *)
         if proved || task.t_depth >= config.max_depth || out_of_budget then
           `Terminal
             (match verdict with
@@ -987,46 +852,7 @@ let run_leaves ?cancel ~config ~count_once ~on_cell ~on_leaf ~partial
       (* recovery sweep: if every worker died, the re-queued orphans and
          their cells finish in this domain *)
       if Atomic.get live > 0 then worker_loop config.workers
-    end
-
-let verify_partition ?cancel ?(config = default_config) ?progress ?on_cell
-    ?on_leaf ?(completed = []) ?(partial = []) sys cells =
-  if config.batch_leaves < 1 then
-    invalid_arg "Verify.verify_partition: batch_leaves must be >= 1";
-  let t0 = now () in
-  let cells_arr = Array.of_list cells in
-  let total = Array.length cells_arr in
-  let results = Array.make total None in
-  List.iter
-    (fun (c : cell_report) ->
-      if c.index >= 0 && c.index < total then results.(c.index) <- Some c)
-    completed;
-  let initially_done =
-    Array.fold_left (fun n r -> if r = None then n else n + 1) 0 results
-  in
-  (* a shared atomic counter so the parallel paths report each finished
-     cell live (the callback then runs on the worker's domain); each
-     index is counted at most once, so crash-recovery re-runs cannot
-     push [progress] past [total] (they are surfaced through the
-     [resilience.requeued_*] counters instead) *)
-  let done_count = Atomic.make initially_done in
-  let counted = Array.init total (fun i -> Atomic.make (results.(i) <> None)) in
-  let count_once i =
-    if not (Atomic.exchange counted.(i) true) then begin
-      let d = Atomic.fetch_and_add done_count 1 + 1 in
-      match progress with Some f -> f d total | None -> ()
-    end
-  in
-  let pending =
-    List.filter (fun i -> results.(i) = None) (List.init total Fun.id)
-  in
-  (match config.scheduler with
-  | Cells ->
-      run_cells ?cancel ~config ~count_once ~on_cell ~results ~cells_arr sys
-        pending
-  | Leaves ->
-      run_leaves ?cancel ~config ~count_once ~on_cell ~on_leaf ~partial
-        ~results ~cells_arr sys pending);
+    end;
   let cell_reports =
     Array.to_list results
     |> List.map (function Some r -> r | None -> assert false)
@@ -1056,15 +882,6 @@ let verify_partition ?cancel ?(config = default_config) ?progress ?on_cell
    contribute their names plus their sampled answers on every cell —
    any spec change that could flip a stored verdict on some cell flips
    at least one probe bit with overwhelming probability. *)
-
-let fnv1a64 (s : string) =
-  let prime = 0x100000001b3L in
-  let h = ref 0xcbf29ce484222325L in
-  String.iter
-    (fun c ->
-      h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) prime)
-    s;
-  !h
 
 let fingerprint ?(config = default_config) sys cells =
   let buf = Buffer.create 1024 in
@@ -1122,30 +939,12 @@ let fingerprint ?(config = default_config) sys cells =
         (sys.System.target.Spec.contains_box st)
         (sys.System.erroneous.Spec.contains_point center st.Symstate.cmd))
     cells;
-  Printf.sprintf "%016Lx" (fnv1a64 (Buffer.contents buf))
+  Codec.fnv1a64 (Buffer.contents buf)
 
 (* ----- journal serialization -----
 
    One JSON object per cell, self-contained enough to reconstruct the
    cell_report exactly: boxes round-trip through %.17g printing. *)
-
-let box_to_json b =
-  Json.List
-    (Array.to_list
-       (Array.map
-          (fun iv -> Json.List [ Json.Num (I.lo iv); Json.Num (I.hi iv) ])
-          (B.to_array b)))
-
-let box_of_json = function
-  | Json.List dims ->
-      B.of_bounds
-        (Array.of_list
-           (List.map
-              (function
-                | Json.List [ lo; hi ] -> (Json.to_float lo, Json.to_float hi)
-                | _ -> raise (Json.Parse_error "box: expected [lo,hi]"))
-              dims))
-  | _ -> raise (Json.Parse_error "box: expected a list")
 
 let leaf_result_to_json = function
   | Completed Reach.Proved_safe -> Json.Obj [ ("verdict", Json.Str "safe") ]
@@ -1174,7 +973,7 @@ let leaf_result_of_json j =
 let leaf_to_json l =
   Json.Obj
     [
-      ("box", box_to_json l.state.Symstate.box);
+      ("box", Codec.box_to_json l.state.Symstate.box);
       ("cmd", Json.Num (float_of_int l.state.Symstate.cmd));
       ("depth", Json.Num (float_of_int l.depth));
       ("proved", Json.Bool l.proved);
@@ -1190,7 +989,7 @@ let get ?(what = "field") j k =
 
 let leaf_of_json j =
   let state =
-    Symstate.make (box_of_json (get ~what:"leaf" j "box"))
+    Symstate.make (Codec.box_of_json (get ~what:"leaf" j "box"))
       (Json.to_int (get ~what:"leaf" j "cmd"))
   in
   {
@@ -1238,8 +1037,8 @@ let journal_meta ~total ~fingerprint =
       ("fingerprint", Json.Str fingerprint);
     ]
 
-(* a terminal leaf completed inside a still-unfinished cell — the
-   leaf-scheduler journals these so [--resume] restarts mid-cell *)
+(* a terminal leaf, journaled through [on_leaf] so [--resume] restarts
+   mid-cell *)
 let leaf_record_to_json ~cell ~path leaf =
   Json.Obj
     [

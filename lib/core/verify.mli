@@ -23,44 +23,38 @@ type split_strategy =
           controller scores on the cell, and bisect only the [take] most
           influential ones (2^take children) *)
 
-type scheduler =
-  | Cells
-      (** the flat work queue: one task per partition cell, a worker runs
-          the cell's whole refinement tree *)
-  | Leaves
-      (** the leaf-frontier work-stealing scheduler: split children go
-          back onto a shared depth- and width-prioritized frontier that
-          all workers pull from, so one hard cell's refinement fans out
-          across every core (see DESIGN.md "Leaf scheduler") *)
+type scheduler = Cells | Leaves
+(** Inert.  There is one scheduler, the leaf frontier of
+    {!verify_partition}; every value runs it.  The type and the
+    [scheduler] field remain only because the benchmark under
+    [nncsbench/] still names them, and go with its next change. *)
 
 type config = {
   reach : Reach.config;
   strategy : split_strategy;
   max_depth : int;  (** maximum number of refinements (paper: 2) *)
-  workers : int;  (** parallel domains for independent cells (>= 1) *)
+  workers : int;  (** worker domains pulling from the leaf frontier (>= 1) *)
   limits : Nncs_resilience.Budget.limits;
       (** per-cell budget, shared by all of the cell's leaves and
-          degradation retries (in [Leaves] mode the sharing spans
-          domains: the step counter is atomic and the deadline is an
-          absolute stamp) *)
+          degradation retries across domains (the step counter is
+          atomic and the deadline is an absolute stamp); its clock
+          starts at the cell's first leaf *)
   degrade : bool;
       (** walk the degradation ladder before returning Unknown (on by
           default; off = a single attempt per leaf) *)
-  scheduler : scheduler;
+  scheduler : scheduler;  (** inert, see {!scheduler} *)
   batch_leaves : int;
-      (** under [Leaves], the number of compatible frontier tasks a
-          worker drains per pull and runs as lockstep fibers sharing
-          batched F# kernel calls (see DESIGN.md "Batched F#"); 1 (the
-          default) is the scalar path.  Verdicts, leaf sets and journal
-          records are byte-identical at every value; like [workers] and
-          [scheduler] it does not enter the problem {!fingerprint}.
-          Ignored by the [Cells] scheduler. *)
+      (** the number of compatible frontier tasks a worker drains per
+          pull and runs as lockstep fibers sharing batched F# kernel
+          calls (see DESIGN.md "Batched F#"); 1 (the default) is the
+          scalar path.  Verdicts, leaf sets and journal records are
+          byte-identical at every value; like [workers] it does not
+          enter the problem {!fingerprint}. *)
 }
 
 val default_config : config
-(** Paper setup: reach defaults, [All_dims [0;1;2]], depth 2, serial,
-    unlimited budget, degradation on, [Cells] scheduler, no leaf
-    batching. *)
+(** Paper setup: reach defaults, [All_dims [0;1;2]], depth 2, one
+    worker, unlimited budget, degradation on, no leaf batching. *)
 
 type leaf_result =
   | Completed of Reach.outcome  (** the reach analysis ran to a verdict *)
@@ -83,7 +77,7 @@ type cell_report = {
   index : int;  (** position of the cell in the input partition *)
   leaves : leaf list;
   proved_fraction : float;  (** sum over proved leaves of f^-depth *)
-  elapsed : float;
+  elapsed : float;  (** the sum of its leaves' [elapsed] *)
 }
 
 type report = {
@@ -98,21 +92,6 @@ type report = {
 val leaf_failure : leaf -> Nncs_resilience.Failure.t option
 val cell_has_failure : cell_report -> bool
 
-val verify_cell :
-  ?cancel:Nncs_resilience.Cancel.t ->
-  ?config:config ->
-  ?index:int ->
-  System.t ->
-  Symstate.t ->
-  cell_report
-(** Verify one initial cell with split refinement; the report's [index]
-    field is [index] (default 0).  Never raises on analysis failures:
-    the per-cell firewall turns them into [Failed] leaves.  A leaf that
-    fails with budget left is split like an unproved one (refinement as
-    failure recovery); once the budget is exhausted — or [cancel] is
-    tripped — the cell stops refining.  A cancelled cell's remaining
-    leaves degrade to [Failed (Cancelled _)]. *)
-
 val verify_partition :
   ?cancel:Nncs_resilience.Cancel.t ->
   ?config:config ->
@@ -124,47 +103,48 @@ val verify_partition :
   System.t ->
   Symstate.t list ->
   report
-(** Verify every cell of the partition ([progress done total] is called
-    after each cell when provided).  Cells are independent; with
-    [workers > 1] they are pulled from a shared queue by that many
-    domains, so [progress] and [on_cell] fire live from the worker that
-    finished the cell — all callbacks must tolerate concurrent
-    invocation.  [on_cell] is the journaling hook: it receives each
-    freshly computed report (but not the pre-[completed] ones).
-    [progress] counts every cell index at most once, so crash-recovery
-    re-runs never push it past [total] — re-execution is surfaced only
-    through the [resilience.requeued_cells] / [resilience.requeued_leaves]
-    metrics.
+(** Verify every cell of the partition.  Each cell's root starts on
+    a shared leaf frontier; a leaf that cannot be proved (or fails with
+    budget left: refinement as failure recovery) is split, and its
+    children go back onto the frontier that [workers] domains pull
+    from, so one hard cell's refinement fans out across every core.
+    The frontier pops the deepest leaf first, then a leaf whose
+    cell's budget has expired, then the lowest (cell index, path):
+    with one worker that is exactly the depth-first recursion of
+    Section 7.1 (cells in index order, each refinement tree in
+    pre-order), so callbacks, journal records and step-budget verdicts
+    follow that order.  Once a cell's budget is exhausted, or [cancel]
+    is tripped, the cell stops refining.
 
-    With [config.scheduler = Leaves], refinement children are scheduled
-    on a shared leaf frontier instead of staying with their cell's
-    worker: deepest-first (completes subtrees, bounding the frontier),
-    widest-first within a depth (LPT-style), and budget-expired leaves
-    jump the queue.  [on_leaf cell path leaf] then fires for every
-    freshly computed {e terminal} leaf ([path] is the child-index path
-    from the cell's root, [[]] for an unsplit cell) — the mid-cell
-    journaling hook.  Reports are reassembled deterministically: leaves
-    are sorted by path, which equals the sequential depth-first order,
-    so verdicts, leaves and coverage are identical to the [Cells]
-    scheduler's (and the single-worker run's) whenever verdicts are
-    budget-independent; per-leaf [elapsed] telemetry naturally varies
-    between runs.
+    Reports are reassembled deterministically: each cell's leaves are
+    sorted by path, which is the depth-first order, so verdicts,
+    leaves and coverage do not depend on [workers] or [batch_leaves]
+    whenever verdicts are budget-independent; per-leaf [elapsed]
+    telemetry naturally varies between runs.
 
-    Fault isolation: a cell (or, under [Leaves], a single leaf) whose
-    analysis escapes every firewall is recorded as
-    [Unknown (Worker_crashed _)]; a worker domain that dies forfeits
-    only its unreported work, which is re-queued and run by the
-    surviving workers or the calling domain
-    ([resilience.requeued_cells] / [resilience.requeued_leaves]).
+    Callbacks fire live from the worker that finished the work, so
+    they must tolerate concurrent invocation:
+    - [on_leaf cell path leaf] for every freshly computed {e terminal}
+      leaf ([path] is the child-index path from the cell's root, [[]]
+      for an unsplit cell) — the mid-cell journaling hook;
+    - [on_cell] for each freshly computed cell report (but not the
+      pre-[completed] ones) — the per-cell journaling hook;
+    - [progress done total] after each finished cell.  Each cell
+      finishes exactly once, so [progress] never passes [total].
+
+    Fault isolation: a leaf whose analysis escapes every firewall is
+    recorded as [Unknown (Worker_crashed _)] and its siblings go on; a
+    worker domain that dies forfeits only its unfinished leaves, which
+    are re-queued ([resilience.requeued_leaves]) and run by the
+    surviving workers or the calling domain.
 
     [completed] (e.g. {!load_journal}[.completed_cells]) pre-fills
     results by [index]; those cells are skipped, not recomputed.
     [partial] ({!load_journal}[.partial_leaves]) replays terminal
-    leaves of interrupted cells under the [Leaves] scheduler: recorded
-    leaves are not recomputed (and not re-journaled through [on_leaf]),
-    interior nodes on the way to them re-split deterministically
-    without re-running reachability.  [partial] is ignored by the
-    [Cells] scheduler.
+    leaves of interrupted cells: recorded leaves are not recomputed
+    (and not re-journaled through [on_leaf]), interior nodes on the
+    way to them re-split deterministically without re-running
+    reachability.
 
     [cancel] threads a cooperative cancellation token into every cell
     budget: once tripped, in-flight leaves unwind at their next budget
@@ -211,9 +191,8 @@ val journal_meta : total:int -> fingerprint:string -> Nncs_obs.Json.t
     spec is detected. *)
 
 val leaf_record_to_json : cell:int -> path:int list -> leaf -> Nncs_obs.Json.t
-(** A terminal leaf completed inside a still-unfinished cell, journaled
-    by the [Leaves] scheduler's [on_leaf] hook so [--resume] can restart
-    mid-cell. *)
+(** A terminal leaf, journaled through the [on_leaf] hook of
+    {!verify_partition} so [--resume] can restart mid-cell. *)
 
 val leaf_record_of_json : Nncs_obs.Json.t -> int * int list * leaf
 

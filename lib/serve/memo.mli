@@ -7,7 +7,7 @@
     {!Nncs.Verify.fingerprint} digest — covering the partition, the
     command set, the spec probes, the abstraction domain and input
     splits, and the analysis config, but {e not} the worker count,
-    scheduler, or abstraction-cache settings, which cannot change
+    leaf batch width, or abstraction-cache settings, which cannot change
     verdicts — extended by {!Server} with the budget limits when any
     are set, because a budget-truncated report is not a valid answer
     under a different budget.  It covers neither the network weights,

@@ -1,10 +1,10 @@
 module J = Nncs_obs.Json
 module B = Nncs_interval.Box
-module I = Nncs_interval.Interval
 module T = Nncs_nnabs.Transformer
 module Budget = Nncs_resilience.Budget
 module Symstate = Nncs.Symstate
 module Verify = Nncs.Verify
+module Codec = Nncs.Codec
 module Reach = Nncs.Reach
 
 type cells_spec =
@@ -109,30 +109,12 @@ let int_list_json l = J.List (List.map num_int l)
 
 (* ----- boxes and cells ----- *)
 
-let box_to_json b =
-  J.List
-    (List.init (B.dim b) (fun d ->
-         let iv = B.get b d in
-         J.List [ J.Num (I.lo iv); J.Num (I.hi iv) ]))
-
-let box_of_json = function
-  | J.List [] -> fail "box must have at least one dimension"
-  | J.List dims ->
-      B.of_bounds
-        (Array.of_list
-           (List.map
-              (function
-                | J.List [ lo; hi ] -> (J.to_float lo, J.to_float hi)
-                | _ -> fail "box dimension must be a [lo, hi] pair")
-              dims))
-  | _ -> fail "box must be a list of [lo, hi] pairs"
-
 let symstate_to_json (st : Symstate.t) =
-  J.Obj [ ("box", box_to_json st.Symstate.box); ("cmd", num_int st.Symstate.cmd) ]
+  J.Obj [ ("box", Codec.box_to_json st.Symstate.box); ("cmd", num_int st.Symstate.cmd) ]
 
 let symstate_of_json j =
   match J.member "box" j with
-  | Some b -> Symstate.make (box_of_json b) (int_field ~default:0 "cmd" j)
+  | Some b -> Symstate.make (Codec.box_of_json b) (int_field ~default:0 "cmd" j)
   | None -> fail "cell needs a \"box\" field"
 
 let cells_of_json j =
@@ -192,18 +174,13 @@ let config_of_json j =
     }
   in
   {
+    base with
     Verify.reach;
     strategy;
     max_depth = int_field ~default:base.Verify.max_depth "max_depth" j;
     workers = int_field ~default:base.Verify.workers "workers" j;
     limits;
     degrade = bool_field ~default:base.Verify.degrade "degrade" j;
-    scheduler =
-      (match J.member "scheduler" j with
-      | Some (J.Str "cells") -> Verify.Cells
-      | Some (J.Str "leaves") -> Verify.Leaves
-      | Some _ -> fail "field \"scheduler\" must be cells | leaves"
-      | None -> base.Verify.scheduler);
     batch_leaves = int_field ~default:base.Verify.batch_leaves "batch_leaves" j;
   }
 
@@ -226,7 +203,7 @@ let request_of_json j =
           (Lookup
              {
                id = str_field "id" j;
-               box = box_of_json (req_field "box" j);
+               box = Codec.box_of_json (req_field "box" j);
                cmd = int_field ~default:0 "cmd" j;
              })
     | Some (J.Str "cancel") -> Ok (Cancel (str_field "id" j))
@@ -295,11 +272,6 @@ let job_to_json (job : job) =
     @ strategy_fields
     @ [
         ("workers", num_int c.Verify.workers);
-        ( "scheduler",
-          J.Str
-            (match c.Verify.scheduler with
-            | Verify.Cells -> "cells"
-            | Verify.Leaves -> "leaves") );
         ("batch_leaves", num_int c.Verify.batch_leaves);
         ("degrade", J.Bool c.Verify.degrade);
         ("memo", J.Bool job.use_memo);
@@ -313,7 +285,7 @@ let request_to_json = function
         [
           ("t", J.Str "lookup");
           ("id", J.Str id);
-          ("box", box_to_json box);
+          ("box", Codec.box_to_json box);
           ("cmd", num_int cmd);
         ]
   | Cancel id -> J.Obj [ ("t", J.Str "cancel"); ("id", J.Str id) ]

@@ -21,7 +21,7 @@
                   "scheme":"direct"|"lohner",                [direct]
                   "early_abort":BOOL,                        [true]
                   "workers":N,                               [1]
-                  "scheduler":"cells"|"leaves",              [cells]
+                  "batch_leaves":N,                          [1]
                   "degrade":BOOL,                            [true]
                   "deadline_s":F, "max_ode_steps":N,
                   "max_symstates":N,                         [unlimited]
@@ -32,6 +32,9 @@
     stats    := { "t":"stats" }
     shutdown := { "t":"shutdown" }
     v}
+
+    Unknown fields are ignored, so lines from older clients that still
+    carry the retired ["scheduler"] field parse to the same job.
 
     {b Events}: [accepted] (echoes the problem fingerprint), [progress]
     (cells done / total, only for jobs that actually run), [verdict]

@@ -231,6 +231,33 @@ let test_resume_fingerprint_mismatch () =
 
 (* ----- compact table artifact ----- *)
 
+(* Stored tables are keyed by the fingerprint: the hex and the table
+   lines below were written by the code before the hash and box codec
+   moved into [Nncs.Codec], and must keep loading and answering. *)
+let pinned_table =
+  [
+    {|{"t":"backreach-meta","v":1,"fingerprint":"fac7bd014bdb4401","grid":[9],"domain":[[0,4.5]],"commands":2,"escape_unsafe":false,"states":18}|};
+    {|{"t":"unsafe","cell":8,"cmd":0,"k":0,"box":[[4,4.5]]}|};
+    {|{"t":"unsafe","cell":8,"cmd":1,"k":0,"box":[[4,4.5]]}|};
+    {|{"t":"table-end","unsafe":2}|};
+  ]
+
+let test_fingerprint_pinned () =
+  let fp = Backreach.fingerprint (homing_config ()) (homing_system ()) in
+  Alcotest.(check string) "homing config" "fac7bd014bdb4401" fp;
+  with_temp_file (fun path ->
+      let oc = open_out path in
+      List.iter (fun l -> output_string oc (l ^ "\n")) pinned_table;
+      close_out oc;
+      match Backreach.load path with
+      | Error e -> Alcotest.failf "stored table refused: %s" e
+      | Ok t ->
+          Alcotest.(check string) "stored fingerprint" fp
+            (Backreach.table_fingerprint t);
+          Alcotest.(check int) "unsafe states" 2 (Backreach.num_unsafe t);
+          check_k "inside E" t 4.2 4.4 0 0;
+          check "mid-domain is safe" true (q t 1.0 2.0 0 = Backreach.Safe))
+
 let test_save_load_roundtrip () =
   with_temp_file (fun path ->
       let t = Backreach.build (drift_config ()) (drift_system ()) in
@@ -478,6 +505,8 @@ let () =
             test_resume_fingerprint_mismatch;
           Alcotest.test_case "table round-trip + torn tail" `Quick
             test_save_load_roundtrip;
+          Alcotest.test_case "fingerprint and table pinned" `Quick
+            test_fingerprint_pinned;
         ] );
       ( "cross-check",
         [

@@ -248,12 +248,11 @@ let grid n =
   Partition.with_command 0
     (Partition.grid (B.of_bounds [| (1.0, 2.0) |]) ~cells:[| n |])
 
-let config ?(scheduler = Verify.Cells) ?(batch_leaves = 1) workers =
+let config ?(batch_leaves = 1) workers =
   {
     Verify.default_config with
     strategy = Verify.All_dims [ 0 ];
     workers;
-    scheduler;
     batch_leaves;
   }
 
@@ -293,7 +292,7 @@ let test_verify_equivalence () =
         (fun batch_leaves ->
           let r =
             Verify.verify_partition
-              ~config:(config ~scheduler:Verify.Leaves ~batch_leaves workers)
+              ~config:(config ~batch_leaves workers)
               sys cells
           in
           check
@@ -309,8 +308,8 @@ let test_verify_equivalence_nn_splits () =
      must also match byte for byte *)
   let sys = homing_system ~nn_splits:2 () in
   let cells = grid 3 in
-  let cfg1 = config ~scheduler:Verify.Leaves ~batch_leaves:1 1 in
-  let cfgk = config ~scheduler:Verify.Leaves ~batch_leaves:4 1 in
+  let cfg1 = config ~batch_leaves:1 1 in
+  let cfgk = config ~batch_leaves:4 1 in
   let journal cfg =
     let recs = ref [] in
     let r =
@@ -338,7 +337,7 @@ let test_ragged_batches () =
   let baseline = Verify.verify_partition ~config:(config 1) sys cells in
   let r =
     Verify.verify_partition
-      ~config:(config ~scheduler:Verify.Leaves ~batch_leaves:4 1)
+      ~config:(config ~batch_leaves:4 1)
       sys cells
   in
   check "ragged final batch identical" true
@@ -372,7 +371,7 @@ let test_mixed_network_frontier () =
     (fun batch_leaves ->
       let r =
         Verify.verify_partition
-          ~config:(config ~scheduler:Verify.Leaves ~batch_leaves 2)
+          ~config:(config ~batch_leaves 2)
           sys cells
       in
       check
@@ -391,7 +390,7 @@ let test_poisoned_leaf_in_batch () =
       Fault.arm ~site:"verify.leaf" ~key:"3" (fun () -> Stdlib.Failure "boom");
       let poisoned =
         Verify.verify_partition
-          ~config:(config ~scheduler:Verify.Leaves ~batch_leaves:4 1)
+          ~config:(config ~batch_leaves:4 1)
           sys cells
       in
       Alcotest.(check int) "one unknown cell" 1 poisoned.Verify.unknown_cells;
@@ -419,17 +418,17 @@ let test_batch_leaves_validated () =
     (fun () ->
       ignore
         (Verify.verify_partition
-           ~config:(config ~scheduler:Verify.Leaves ~batch_leaves:0 1)
+           ~config:(config ~batch_leaves:0 1)
            sys (grid 2)))
 
 let test_fingerprint_batch_agnostic () =
-  (* like workers and scheduler, batch_leaves is a runtime knob, not
+  (* like workers, batch_leaves is a runtime knob, not
      problem semantics: journals stay interchangeable *)
   let sys = homing_system () in
   let cells = grid 4 in
   let fp k =
     Verify.fingerprint
-      ~config:(config ~scheduler:Verify.Leaves ~batch_leaves:k 1)
+      ~config:(config ~batch_leaves:k 1)
       sys cells
   in
   Alcotest.(check string) "fingerprint ignores batch_leaves" (fp 1) (fp 16)

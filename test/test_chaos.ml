@@ -81,7 +81,7 @@ let homing_cells arcs =
     (Partition.grid (B.of_bounds [| (1.0, 2.0) |]) ~cells:[| arcs |])
 
 (* the job-spec pool: distinct partitions, a memo opt-out that re-runs
-   every time, and one spec on the multi-domain leaf scheduler *)
+   every time, and one spec on two worker domains *)
 type spec = { s_arcs : int; s_use_memo : bool; s_workers : int }
 
 let specs =
@@ -93,12 +93,7 @@ let specs =
     { s_arcs = 2; s_use_memo = false; s_workers = 1 };
   |]
 
-let spec_config s =
-  {
-    P.default_config with
-    Verify.workers = s.s_workers;
-    scheduler = (if s.s_workers > 1 then Verify.Leaves else Verify.Cells);
-  }
+let spec_config s = { P.default_config with Verify.workers = s.s_workers }
 
 let job_line ~id spec_idx =
   let s = specs.(spec_idx) in

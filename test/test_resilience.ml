@@ -1,5 +1,5 @@
 (* Fault-injection coverage of the resilience subsystem: numeric guards,
-   per-cell budgets, the graceful-degradation ladder, the per-cell
+   per-cell budgets, the graceful-degradation ladder, the per-leaf
    firewall in partition runs, worker-domain crash recovery, and the
    verdict journal with resume.
 
@@ -77,6 +77,12 @@ let config ?(limits = Budget.unlimited) ?(degrade = true) ?(max_depth = 0)
     limits;
     degrade;
   }
+
+(* one cell through the partition driver: its sole cell report *)
+let verify_one ?cancel config sys cell =
+  match (Verify.verify_partition ?cancel ~config sys [ cell ]).Verify.cells with
+  | [ c ] -> c
+  | cs -> Alcotest.failf "expected one cell report, got %d" (List.length cs)
 
 let sole_leaf (r : Verify.cell_report) =
   match r.Verify.leaves with
@@ -158,7 +164,7 @@ let failed_with (l : Verify.leaf) f =
 let test_budget_deadline () =
   let sys = homing_system () in
   let limits = { Budget.unlimited with Budget.deadline_s = Some 0.0 } in
-  let r = Verify.verify_cell ~config:(config ~limits ()) sys (one_cell ()) in
+  let r = verify_one (config ~limits ()) sys (one_cell ()) in
   let l = sole_leaf r in
   check "leaf failed with expired deadline" true
     (failed_with l (F.Budget_exceeded F.Deadline));
@@ -170,14 +176,14 @@ let test_budget_ode_steps () =
   (* reach uses 10 sub-steps per control step: a 5-step budget dies on
      the first control step *)
   let limits = { Budget.unlimited with Budget.max_ode_steps = Some 5 } in
-  let r = Verify.verify_cell ~config:(config ~limits ()) sys (one_cell ()) in
+  let r = verify_one (config ~limits ()) sys (one_cell ()) in
   check "ode-step budget fires" true
     (failed_with (sole_leaf r) (F.Budget_exceeded F.Ode_steps))
 
 let test_budget_symstates () =
   let sys = homing_system () in
   let limits = { Budget.unlimited with Budget.max_symstates = Some 0 } in
-  let r = Verify.verify_cell ~config:(config ~limits ()) sys (one_cell ()) in
+  let r = verify_one (config ~limits ()) sys (one_cell ()) in
   check "symstate budget fires" true
     (failed_with (sole_leaf r) (F.Budget_exceeded F.Symbolic_states))
 
@@ -187,7 +193,7 @@ let test_budget_stops_refinement () =
   let sys = homing_system () in
   let limits = { Budget.unlimited with Budget.deadline_s = Some 0.0 } in
   let r =
-    Verify.verify_cell ~config:(config ~limits ~max_depth:2 ()) sys (one_cell ())
+    verify_one (config ~limits ~max_depth:2 ()) sys (one_cell ())
   in
   Alcotest.(check int) "single leaf despite depth budget" 1
     (List.length r.Verify.leaves)
@@ -242,7 +248,7 @@ let test_cancel_pre_tripped_cell () =
   let cancel = Cancel.create () in
   Cancel.cancel cancel ~reason:"before start";
   let r =
-    Verify.verify_cell ~cancel ~config:(config ~max_depth:2 ()) sys (one_cell ())
+    verify_one ~cancel (config ~max_depth:2 ()) sys (one_cell ())
   in
   let l = sole_leaf r in
   check "leaf failed as cancelled" true
@@ -289,7 +295,7 @@ let test_ladder_halved_step_recovers () =
   with_faults (fun () ->
       let sys = homing_system () in
       Fault.arm ~site:"reach.step" ~times:1 enclosure_fault;
-      let r = Verify.verify_cell ~config:(config ()) sys (one_cell ()) in
+      let r = verify_one (config ()) sys (one_cell ()) in
       let l = sole_leaf r in
       check "recovered on retry" true l.Verify.proved;
       Alcotest.(check (list string))
@@ -299,7 +305,7 @@ let test_ladder_interval_fallback () =
   with_faults (fun () ->
       let sys = homing_system () in
       Fault.arm ~site:"reach.step" ~times:2 enclosure_fault;
-      let r = Verify.verify_cell ~config:(config ()) sys (one_cell ()) in
+      let r = verify_one (config ()) sys (one_cell ()) in
       let l = sole_leaf r in
       check "recovered on interval domain" true l.Verify.proved;
       Alcotest.(check (list string))
@@ -311,7 +317,7 @@ let test_ladder_exhausted_is_unknown () =
   with_faults (fun () ->
       let sys = homing_system () in
       Fault.arm ~site:"reach.step" enclosure_fault;
-      let r = Verify.verify_cell ~config:(config ()) sys (one_cell ()) in
+      let r = verify_one (config ()) sys (one_cell ()) in
       let l = sole_leaf r in
       check "unknown with the diverged reason" true
         (failed_with l (F.Enclosure_diverged "injected"));
@@ -325,7 +331,7 @@ let test_no_degrade_single_attempt () =
       let sys = homing_system () in
       Fault.arm ~site:"reach.step" ~times:1 enclosure_fault;
       let r =
-        Verify.verify_cell ~config:(config ~degrade:false ()) sys (one_cell ())
+        verify_one (config ~degrade:false ()) sys (one_cell ())
       in
       let l = sole_leaf r in
       check "no retry without degrade" true
@@ -339,9 +345,7 @@ let test_refinement_recovers_failed_leaf () =
       let sys = homing_system () in
       Fault.arm ~site:"reach.step" ~times:1 enclosure_fault;
       let r =
-        Verify.verify_cell
-          ~config:(config ~degrade:false ~max_depth:1 ())
-          sys (one_cell ())
+        verify_one (config ~degrade:false ~max_depth:1 ()) sys (one_cell ())
       in
       Alcotest.(check int) "two child leaves" 2 (List.length r.Verify.leaves);
       Alcotest.(check (float 1e-12)) "fully proved" 1.0 r.Verify.proved_fraction)
@@ -350,7 +354,7 @@ let test_nan_dynamics_is_numeric () =
   with_faults (fun () ->
       let sys = homing_system () in
       Fault.arm ~site:"ode.simulate" numeric_fault;
-      let r = Verify.verify_cell ~config:(config ()) sys (one_cell ()) in
+      let r = verify_one (config ()) sys (one_cell ()) in
       check "NaN surfaces as a Numeric failure" true
         (failed_with (sole_leaf r) (F.Numeric "injected NaN")))
 
@@ -359,7 +363,8 @@ let test_nan_dynamics_is_numeric () =
 let test_partition_isolates_poisoned_cell () =
   with_faults (fun () ->
       let sys = homing_system () in
-      Fault.arm ~site:"verify.cell" ~key:"1" enclosure_fault;
+      (* key "1" is cell 1's root leaf (leaf keys are cell.path) *)
+      Fault.arm ~site:"verify.leaf" ~key:"1" enclosure_fault;
       let report = Verify.verify_partition ~config:(config ()) sys (grid 4) in
       Alcotest.(check int) "all cells reported" 4 report.Verify.total_cells;
       Alcotest.(check int) "three proved" 3 report.Verify.proved_cells;
@@ -384,7 +389,7 @@ let test_worker_crash_requeues () =
       (* Sys.Break is fatal: the firewall re-raises it, the worker domain
          dies, and the re-queue sweep must still complete every cell
          (the fault is one-shot, so the retry succeeds) *)
-      Fault.arm ~site:"verify.cell" ~key:"2" ~times:1 (fun () -> Sys.Break);
+      Fault.arm ~site:"verify.leaf" ~key:"2" ~times:1 (fun () -> Sys.Break);
       let report =
         Verify.verify_partition ~config:(config ~workers:3 ()) sys (grid 6)
       in
@@ -482,7 +487,7 @@ let test_journal_resume_skips_completed () =
               loaded
           in
           (* a fault on cell 0 proves resume does not recompute it *)
-          Fault.arm ~site:"verify.cell" ~key:"0" enclosure_fault;
+          Fault.arm ~site:"verify.leaf" ~key:"0" enclosure_fault;
           let resumed =
             Verify.verify_partition ~config:(config ()) ~completed sys cells
           in

@@ -1,10 +1,11 @@
-(* The leaf-frontier scheduler must be an invisible optimization: same
-   verdicts, leaves, coverage and journal as the per-cell scheduler (and
-   the sequential run) for any worker count, with faults isolated to one
-   leaf, orphans of dead workers re-queued, and mid-cell resume from
-   journaled leaf records.  Plus the partition/verify-layer correctness
-   fixes that rode along: NaN-proof influence ordering and count-once
-   progress. *)
+(* The leaf frontier must be an invisible optimization: the same
+   verdicts, leaves and coverage as a plain depth-first recursion for any
+   worker count and batch width, one worker visiting leaves in exactly
+   that recursion's order, faults isolated to one leaf, orphans of dead
+   workers re-queued, and mid-cell resume from journaled leaf records.
+   Plus the partition/verify-layer correctness fixes that rode along:
+   NaN-proof influence ordering and count-once progress, and the pinned
+   fingerprint and journal format that existing journals depend on. *)
 
 module I = Nncs_interval.Interval
 module B = Nncs_interval.Box
@@ -18,6 +19,8 @@ module Spec = Nncs.Spec
 module Controller = Nncs.Controller
 module System = Nncs.System
 module Verify = Nncs.Verify
+module Reach = Nncs.Reach
+module Symset = Nncs.Symset
 module Partition = Nncs.Partition
 module Journal = Nncs_resilience.Journal
 module Fault = Nncs_resilience.Fault
@@ -62,12 +65,12 @@ let grid n =
   Partition.with_command 0
     (Partition.grid (B.of_bounds [| (1.0, 2.0) |]) ~cells:[| n |])
 
-let config ?(scheduler = Verify.Cells) workers =
+let config ?(batch_leaves = 1) workers =
   {
     Verify.default_config with
     strategy = Verify.All_dims [ 0 ];
     workers;
-    scheduler;
+    batch_leaves;
   }
 
 let strip_elapsed (r : Verify.report) =
@@ -91,37 +94,108 @@ let strip_elapsed (r : Verify.report) =
             c.Verify.leaves ))
       r.Verify.cells )
 
-(* ----- scheduler equivalence ----- *)
+(* ----- equivalence with the depth-first recursion ----- *)
+
+(* The Section 7.1 driver as a plain recursion: analyse the cell, split
+   what is not proved, recurse to max_depth.  No ladder, budget or
+   firewall (the fixture never fails); the result has the shape of
+   [strip_elapsed]. *)
+let reference (config : Verify.config) sys cells =
+  let dims =
+    match config.Verify.strategy with
+    | Verify.All_dims dims -> dims
+    | Verify.Most_influential _ -> Alcotest.fail "reference: All_dims only"
+  in
+  let factor = float_of_int (1 lsl List.length dims) in
+  let rec go depth (st : Symstate.t) =
+    match Reach.run ~config:config.Verify.reach sys (Symset.of_list [ st ]) with
+    | Error f ->
+        Alcotest.failf "reference: %s" (Nncs_resilience.Failure.to_string f)
+    | Ok r ->
+        let proved = Reach.is_proved_safe r in
+        if proved || depth >= config.Verify.max_depth then
+          [ (B.to_string st.Symstate.box, st.Symstate.cmd, depth, proved, "completed") ]
+        else List.concat_map (go (depth + 1)) (Symstate.split st dims)
+  in
+  let cells =
+    List.mapi
+      (fun i st ->
+        let leaves = go 0 st in
+        let proved_fraction =
+          List.fold_left
+            (fun a (_, _, depth, proved, _) ->
+              if proved then a +. (1.0 /. (factor ** float_of_int depth)) else a)
+            0.0 leaves
+        in
+        (i, proved_fraction, leaves))
+      cells
+  in
+  let n = List.length cells in
+  let fractions = List.map (fun (_, f, _) -> f) cells in
+  ( 100.0 *. List.fold_left ( +. ) 0.0 fractions /. float_of_int n,
+    List.length (List.filter (fun f -> f >= 1.0 -. 1e-12) fractions),
+    0,
+    n,
+    cells )
 
 let test_equivalence () =
   let sys = homing_system ~horizon_steps:3 () in
   let cells = grid 3 in
-  let baseline = Verify.verify_partition ~config:(config 1) sys cells in
+  let expected = reference (config 1) sys cells in
   (* the fixture must actually refine, or the frontier is never used *)
+  let _, _, _, _, ref_cells = expected in
   check "fixture exercises splitting" true
-    (List.exists
-       (fun (c : Verify.cell_report) -> List.length c.Verify.leaves > 1)
-       baseline.Verify.cells);
+    (List.exists (fun (_, _, leaves) -> List.length leaves > 1) ref_cells);
   List.iter
-    (fun workers ->
-      let leaves =
-        Verify.verify_partition
-          ~config:(config ~scheduler:Verify.Leaves workers)
-          sys cells
-      in
-      Alcotest.(check int)
-        (Printf.sprintf "leaf count preserved (workers=%d)" workers)
-        (List.fold_left
-           (fun n (c : Verify.cell_report) -> n + List.length c.Verify.leaves)
-           0 baseline.Verify.cells)
-        (List.fold_left
-           (fun n (c : Verify.cell_report) -> n + List.length c.Verify.leaves)
-           0 leaves.Verify.cells);
+    (fun (workers, batch_leaves) ->
       check
-        (Printf.sprintf "identical report modulo elapsed (workers=%d)" workers)
+        (Printf.sprintf "identical report modulo elapsed (workers=%d K=%d)"
+           workers batch_leaves)
         true
-        (strip_elapsed baseline = strip_elapsed leaves))
-    [ 1; 4 ]
+        (strip_elapsed
+           (Verify.verify_partition ~config:(config ~batch_leaves workers) sys
+              cells)
+        = expected))
+    [ (1, 1); (1, 4); (4, 1); (4, 4) ]
+
+(* ----- one worker runs the depth-first recursion's order ----- *)
+
+type event = Leaf of int * int list | Cell of int
+
+let test_one_worker_depth_first () =
+  let sys = homing_system ~horizon_steps:3 () in
+  let events = ref [] in
+  let report =
+    Verify.verify_partition ~config:(config 1)
+      ~on_leaf:(fun cell path _ -> events := Leaf (cell, path) :: !events)
+      ~on_cell:(fun c -> events := Cell c.Verify.index :: !events)
+      sys (grid 3)
+  in
+  let events = List.rev !events in
+  check "every cell refines" true
+    (List.for_all
+       (fun (c : Verify.cell_report) -> List.length c.Verify.leaves > 1)
+       report.Verify.cells);
+  (* cell 0's leaves in path order, then cell 0 done, then cell 1, ... *)
+  let expected =
+    List.concat_map
+      (fun (c : Verify.cell_report) ->
+        let i = c.Verify.index in
+        let paths =
+          List.filter_map
+            (function Leaf (j, p) when j = i -> Some p | _ -> None)
+            events
+        in
+        Alcotest.(check int)
+          (Printf.sprintf "cell %d: one event per leaf" i)
+          (List.length c.Verify.leaves) (List.length paths);
+        List.map
+          (fun p -> Leaf (i, p))
+          (List.sort (List.compare Int.compare) paths)
+        @ [ Cell i ])
+      report.Verify.cells
+  in
+  check "depth-first visiting order" true (events = expected)
 
 (* ----- per-leaf fault isolation ----- *)
 
@@ -135,7 +209,7 @@ let test_poisoned_leaf_isolated () =
           Stdlib.Failure "boom");
       let poisoned =
         Verify.verify_partition
-          ~config:(config ~scheduler:Verify.Leaves 4)
+          ~config:(config 4)
           sys cells
       in
       Alcotest.(check int) "one unknown cell" 1 poisoned.Verify.unknown_cells;
@@ -169,9 +243,7 @@ let test_fatal_death_requeues_orphan () =
          leaf is re-queued and the retry (no fault left) succeeds *)
       Fault.arm ~site:"verify.leaf" ~key:"5" ~times:1 (fun () -> Sys.Break);
       let report =
-        Verify.verify_partition
-          ~config:(config ~scheduler:Verify.Leaves 2)
-          sys cells
+        Verify.verify_partition ~config:(config 2) sys cells
       in
       check "orphaned leaf was re-queued" true
         (Metrics.value requeued > before);
@@ -185,7 +257,7 @@ let test_midcell_resume () =
   let sys = homing_system ~horizon_steps:3 () in
   let cells = grid 3 in
   let total = List.length cells in
-  let cfg = config ~scheduler:Verify.Leaves 1 in
+  let cfg = config 1 in
   let recs = ref [] in
   let baseline =
     Verify.verify_partition ~config:cfg
@@ -259,7 +331,7 @@ let test_fingerprint_sensitivity () =
   differs "partition size" (Verify.fingerprint ~config:cfg sys (grid 5));
   differs "max_depth"
     (Verify.fingerprint ~config:{ cfg with Verify.max_depth = 3 } sys cells);
-  differs "scheduler-independent = false: horizon"
+  differs "horizon"
     (Verify.fingerprint ~config:cfg
        { sys with System.horizon_steps = 11 }
        cells);
@@ -272,13 +344,50 @@ let test_fingerprint_sensitivity () =
          System.erroneous = Spec.coord_gt ~name:"blowup" ~dim:0 ~bound:1.5;
        }
        cells);
-  (* the scheduler choice does not change the problem: journals are
-     interchangeable between cells and leaves mode *)
+  (* the worker count does not change the problem: journals are
+     interchangeable between runs at any worker count *)
   Alcotest.(check string)
-    "scheduler-agnostic" fp
-    (Verify.fingerprint
-       ~config:{ cfg with Verify.scheduler = Verify.Leaves }
-       sys cells)
+    "worker-agnostic" fp
+    (Verify.fingerprint ~config:{ cfg with Verify.workers = 4 } sys cells)
+
+(* ----- stored fingerprints and journals stay valid -----
+
+   Journals, memo entries and backreach tables are keyed by these
+   digests: the hex below, and the journal lines, were written by the
+   code before the hash and box codec moved into [Nncs.Codec]. *)
+
+let pinned_journal =
+  [
+    {|{"t":"meta","kind":"nncs-verify-journal","version":2,"total":3,"fingerprint":"93ba36faa762bc0d"}|};
+    {|{"t":"cell","index":0,"proved_fraction":1,"elapsed":0,"leaves":[{"box":[[1,1.1666666666666665]],"cmd":0,"depth":1,"proved":true,"result":{"verdict":"safe"},"rungs":["base"],"elapsed":0},{"box":[[1.1666666666666665,1.3333333333333333]],"cmd":0,"depth":1,"proved":true,"result":{"verdict":"safe"},"rungs":["base"],"elapsed":0}]}|};
+    {|{"t":"cell","index":1,"proved_fraction":0.5,"elapsed":0,"leaves":[{"box":[[1.3333333333333333,1.4166666666666665]],"cmd":0,"depth":2,"proved":true,"result":{"verdict":"safe"},"rungs":["base"],"elapsed":0},{"box":[[1.4166666666666665,1.5]],"cmd":0,"depth":2,"proved":false,"result":{"verdict":"horizon"},"rungs":["base"],"elapsed":0},{"box":[[1.5,1.5833333333333333]],"cmd":0,"depth":2,"proved":false,"result":{"verdict":"horizon"},"rungs":["base"],"elapsed":0},{"box":[[1.5833333333333333,1.6666666666666665]],"cmd":0,"depth":2,"proved":true,"result":{"verdict":"safe"},"rungs":["base"],"elapsed":0}]}|};
+    {|{"t":"cell","index":2,"proved_fraction":0,"elapsed":0,"leaves":[{"box":[[1.6666666666666665,1.75]],"cmd":0,"depth":2,"proved":false,"result":{"verdict":"horizon"},"rungs":["base"],"elapsed":0},{"box":[[1.75,1.8333333333333333]],"cmd":0,"depth":2,"proved":false,"result":{"verdict":"horizon"},"rungs":["base"],"elapsed":0},{"box":[[1.8333333333333333,1.9166666666666665]],"cmd":0,"depth":2,"proved":false,"result":{"verdict":"horizon"},"rungs":["base"],"elapsed":0},{"box":[[1.9166666666666665,2]],"cmd":0,"depth":2,"proved":false,"result":{"verdict":"horizon"},"rungs":["base"],"elapsed":0}]}|};
+  ]
+
+let test_fingerprint_pinned () =
+  Alcotest.(check string)
+    "homing fixture, grid 4" "72fb0b9b430c1da0"
+    (Verify.fingerprint ~config:(config 1) (homing_system ()) (grid 4));
+  let sys = homing_system ~horizon_steps:3 () in
+  let cells = grid 3 in
+  let path = Filename.temp_file "nncs_pinned" ".jsonl" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      let oc = open_out path in
+      List.iter (fun l -> output_string oc (l ^ "\n")) pinned_journal;
+      close_out oc;
+      let j = Verify.load_journal path in
+      Alcotest.(check (option string))
+        "stored fingerprint matches this problem"
+        (Some (Verify.fingerprint ~config:(config 1) sys cells))
+        j.Verify.meta_fingerprint;
+      let fresh = Verify.verify_partition ~config:(config 1) sys cells in
+      let _, _, _, _, stored =
+        strip_elapsed { fresh with Verify.cells = j.Verify.completed_cells }
+      in
+      let _, _, _, _, computed = strip_elapsed fresh in
+      check "stored cells load as computed" true (stored = computed))
 
 (* ----- influence_order with NaN scores ----- *)
 
@@ -334,11 +443,12 @@ let test_progress_counts_once_after_crash () =
     Mutex.unlock mutex
   in
   Fun.protect ~finally:Fault.reset (fun () ->
-      (* a one-shot fatal fault kills one of the two workers after it has
-         already completed (and counted) at least one cell: its results
-         are lost and re-run by crash recovery, which previously counted
-         them a second time and pushed progress past [total] *)
-      Fault.arm ~site:"verify.cell" ~key:"2" ~times:1 (fun () -> Sys.Break);
+      (* a one-shot fatal fault on cell 2's root leaf kills one of the two
+         workers: its orphan is re-queued and finished by the survivor,
+         and every cell must still be counted exactly once (crash
+         recovery once counted re-run cells a second time and pushed
+         progress past [total]) *)
+      Fault.arm ~site:"verify.leaf" ~key:"2" ~times:1 (fun () -> Sys.Break);
       let report =
         Verify.verify_partition ~config:(config 2) ~progress sys cells
       in
@@ -346,7 +456,7 @@ let test_progress_counts_once_after_crash () =
       Alcotest.(check int) "no unknown cells after recovery" 0
         report.Verify.unknown_cells;
       check "crash recovery actually ran" true
-        (Metrics.value (Metrics.counter "resilience.requeued_cells") > 0);
+        (Metrics.value (Metrics.counter "resilience.requeued_leaves") > 0);
       Alcotest.(check int) "exactly one callback per cell" total
         (List.length !seen);
       check "every total is the cell count" true
@@ -361,8 +471,10 @@ let () =
     [
       ( "leaf scheduler",
         [
-          Alcotest.test_case "equivalent to cells scheduler" `Quick
+          Alcotest.test_case "equivalent to depth-first reference" `Quick
             test_equivalence;
+          Alcotest.test_case "one worker visits depth-first" `Quick
+            test_one_worker_depth_first;
           Alcotest.test_case "poisoned leaf isolated" `Quick
             test_poisoned_leaf_isolated;
           Alcotest.test_case "fatal death re-queues orphan" `Quick
@@ -373,6 +485,8 @@ let () =
         [
           Alcotest.test_case "fingerprint sensitivity" `Quick
             test_fingerprint_sensitivity;
+          Alcotest.test_case "fingerprint and journal pinned" `Quick
+            test_fingerprint_pinned;
           Alcotest.test_case "influence order with NaN" `Quick
             test_influence_order_nan;
           Alcotest.test_case "progress counts once" `Quick

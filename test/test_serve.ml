@@ -62,7 +62,6 @@ let test_request_roundtrip () =
       P.default_config with
       Verify.max_depth = 3;
       workers = 2;
-      scheduler = Verify.Leaves;
       strategy = Verify.Most_influential { candidates = [ 0; 1 ]; take = 1 };
       limits =
         {
@@ -90,7 +89,6 @@ let test_request_roundtrip () =
       check "memo flag" true (j.P.use_memo = false);
       Alcotest.(check int) "max_depth" 3 j.P.config.Verify.max_depth;
       Alcotest.(check int) "workers" 2 j.P.config.Verify.workers;
-      check "scheduler" true (j.P.config.Verify.scheduler = Verify.Leaves);
       check "strategy" true
         (j.P.config.Verify.strategy
         = Verify.Most_influential { candidates = [ 0; 1 ]; take = 1 });
@@ -161,6 +159,24 @@ let test_request_rejects () =
     {|{"t":"job","id":"x","partition":{"arcs":1,"headings":1},"split_take":1}|};
   rejects "malformed box"
     {|{"t":"job","id":"x","cells":[{"box":[[0.0]],"cmd":0}]}|}
+
+(* "scheduler" was a job field while there were two schedulers; lines
+   from older clients still carry it and must parse to the same job *)
+let test_retired_scheduler_field () =
+  let job extra =
+    Printf.sprintf
+      {|{"t":"job","id":"x","partition":{"arcs":4,"headings":1},"workers":2%s}|}
+      extra
+  in
+  let reprint s =
+    match P.request_of_json (J.of_string s) with
+    | Ok req -> J.to_string (P.request_to_json req)
+    | Error e -> Alcotest.failf "%s: %s" s e
+  in
+  let plain = reprint (job "") in
+  Alcotest.(check string) "cells ignored" plain (reprint (job {|,"scheduler":"cells"|}));
+  Alcotest.(check string) "leaves ignored" plain
+    (reprint (job {|,"scheduler":"leaves"|}))
 
 let test_event_roundtrip () =
   let events =
@@ -1149,6 +1165,8 @@ let () =
           Alcotest.test_case "request round-trip" `Quick test_request_roundtrip;
           Alcotest.test_case "malformed requests rejected" `Quick
             test_request_rejects;
+          Alcotest.test_case "retired scheduler field ignored" `Quick
+            test_retired_scheduler_field;
           Alcotest.test_case "event round-trip" `Quick test_event_roundtrip;
         ] );
       ( "server",

@@ -111,7 +111,7 @@ let test_parallel_poisoned_cell () =
   let cells = grid 8 in
   let baseline = Verify.verify_partition ~config:(config 1) sys cells in
   Fun.protect ~finally:Nncs_resilience.Fault.reset (fun () ->
-      Nncs_resilience.Fault.arm ~site:"verify.cell" ~key:"3" (fun () ->
+      Nncs_resilience.Fault.arm ~site:"verify.leaf" ~key:"3" (fun () ->
           Stdlib.Failure "boom");
       let poisoned = Verify.verify_partition ~config:(config 4) sys cells in
       Alcotest.(check int)
@@ -132,14 +132,6 @@ let test_parallel_poisoned_cell () =
               "sibling verdict matches serial" a.Verify.proved_fraction
               b.Verify.proved_fraction)
         baseline.Verify.cells poisoned.Verify.cells)
-
-let test_verify_cell_index () =
-  let sys = homing_system () in
-  let cell = List.hd (grid 1) in
-  let r = Verify.verify_cell ~config:(config 1) ~index:7 sys cell in
-  Alcotest.(check int) "index carried through" 7 r.Verify.index;
-  let r0 = Verify.verify_cell ~config:(config 1) sys cell in
-  Alcotest.(check int) "default index 0" 0 r0.Verify.index
 
 (* ----- obs: span nesting ----- *)
 
@@ -285,7 +277,6 @@ let () =
             test_parallel_progress_live;
           Alcotest.test_case "poisoned cell isolated in parallel" `Quick
             test_parallel_poisoned_cell;
-          Alcotest.test_case "verify_cell ?index" `Quick test_verify_cell_index;
         ] );
       ( "obs",
         [
