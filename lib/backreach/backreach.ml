@@ -163,7 +163,7 @@ let fingerprint config sys =
   let buf = Buffer.create 1024 in
   let addf fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   let addfl x = addf "%.17g;" x in
-  addf "backreach:v1;";
+  addf "backreach:v2;";
   let d = B.dim config.domain in
   for i = 0 to d - 1 do
     addfl (I.lo (B.get config.domain i));
@@ -214,11 +214,16 @@ let fingerprint config sys =
 
 let num_int n = Json.Num (float_of_int n)
 
+(* Version 2 pairs a cell's successors with the commands chosen on the
+   cell itself; tables and journals of version 1 chose them on the
+   endpoint enclosure and encode a different closed loop. *)
+let format_version = 2
+
 let meta_json ~fingerprint ~grid ~domain ~ncmds ~escape_unsafe ~nstates =
   Json.Obj
     [
       ("t", Json.Str "backreach-meta");
-      ("v", num_int 1);
+      ("v", num_int format_version);
       ("fingerprint", Json.Str fingerprint);
       ("grid", Json.List (Array.to_list (Array.map num_int grid)));
       ("domain", Codec.box_to_json domain);
@@ -293,9 +298,11 @@ let compute_state ~config ~edges sys id =
         Array.exists touches sim.Nncs_ode.Simulate.pieces
         || touches sim.Nncs_ode.Simulate.endpoint
       in
+      (* the controller samples the state at the start of the period
+         (the one-period command delay of [Reach.analyze]): the next
+         commands come from the cell, not from the endpoint *)
       let next_cmds =
-        Controller.abstract_step sys.System.controller
-          ~box:sim.Nncs_ode.Simulate.endpoint ~prev_cmd:cmd
+        Controller.abstract_step sys.System.controller ~box ~prev_cmd:cmd
       in
       let cells, escapes =
         covering_cells ~edges ~grid:config.grid ~domain:config.domain
@@ -608,6 +615,13 @@ let load path =
               | Some v -> v
               | None -> failwith ("meta missing " ^ k)
             in
+            let v = Json.to_int (req "v") in
+            if v < format_version then
+              failwith
+                (Printf.sprintf
+                   "backreach format v%d predates v%d (next commands \
+                    sampled at the period's start); rebuild the table"
+                   v format_version);
             let ncmds = Json.to_int (req "commands") in
             let nstates = Json.to_int (req "states") in
             let escape_unsafe =

@@ -6,8 +6,10 @@
     grid cell paired with one command index.  A quantized state makes
     {e contact} when its own box, or the validated flow over one
     controller period from it, can intersect the erroneous set [E]; its
-    {e successors} are every (covering cell, next command) pair of the
-    endpoint enclosure under [Controller.abstract_step].  Iterating the
+    {e successors} pair every cell covering the endpoint enclosure with
+    every next command [Controller.abstract_step] allows on the cell's
+    own box — the controller samples the state at the start of the
+    period, as in {!Nncs.Reach.analyze}.  Iterating the
     predecessor relation from the contact states to a fixed point yields
     the {e unsafe backreach table}: every quantized state from which the
     abstraction cannot rule out eventually touching [E], with the
@@ -117,7 +119,9 @@ val load : string -> (t, string) result
 (** Load either format: a {!save_table} artifact (entries are taken
     as-is; a missing or mismatched [table-end] trailer is an error) or a
     {!build} journal (transition records must be complete; the fixed
-    point is re-derived).  [Error] carries a human-readable reason. *)
+    point is re-derived).  Artifacts of format version 1, whose
+    transitions chose the next commands on the endpoint enclosure, are
+    refused.  [Error] carries a human-readable reason. *)
 
 (** {1 Forward cross-check} *)
 

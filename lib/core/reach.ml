@@ -226,8 +226,3 @@ let run ?config ?budget ?abstract sys r0 =
           max_states = 0;
           total_joins = 0;
         })
-
-let flow_union r =
-  List.fold_left
-    (fun acc sr -> Symset.union sr.flow (Symset.union sr.next acc))
-    Symset.empty r.steps

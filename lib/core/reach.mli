@@ -103,6 +103,3 @@ val run :
     [Nncs_resilience.Firewall] with {!classify}.  Every analysis-domain
     exception — including a leaked {!Error_contact}, which becomes a
     [Reached_error] result — returns as data. *)
-
-val flow_union : result -> Symset.t
-(** The over-approximation R_[0,tau] (requires [keep_sets]). *)

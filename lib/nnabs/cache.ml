@@ -137,10 +137,9 @@ let quantize quantum box =
 
 let shard_for t key = t.shards.(Hashtbl.hash key mod Array.length t.shards)
 
-let find_or_compute t ~net_id ~cmd ?(tag = 0) box f =
-  let bounds = quantize_bounds t.config.quantum box in
-  let key = { net_id; cmd; tag; bounds } in
-  let sh = shard_for t key in
+(* Locked probe of one key: a hit refreshes its LRU position.  Both
+   outcomes are counted, per shard and process-wide. *)
+let probe sh key =
   let cached =
     with_lock sh (fun () ->
         match Hashtbl.find_opt sh.table key with
@@ -153,39 +152,47 @@ let find_or_compute t ~net_id ~cmd ?(tag = 0) box f =
             sh.misses <- sh.misses + 1;
             None)
   in
-  match cached with
-  | Some v ->
-      Metrics.incr m_hits;
-      v
+  Metrics.incr (if Option.is_some cached then m_hits else m_misses);
+  cached
+
+(* Locked insert of a freshly computed value.  The incumbent wins: when
+   another domain stored the key since the probe, its value is kept (and
+   refreshed) to maximise sharing.  Returns the value actually stored. *)
+let insert sh key value =
+  with_lock sh (fun () ->
+      match Hashtbl.find_opt sh.table key with
+      | Some e ->
+          unlink e;
+          push_front sh e;
+          e.value
+      | None ->
+          if Hashtbl.length sh.table >= sh.capacity then begin
+            let victim = sh.sentinel.prev in
+            unlink victim;
+            Hashtbl.remove sh.table victim.key;
+            sh.evictions <- sh.evictions + 1;
+            Metrics.incr m_evictions
+          end;
+          let e = { key; value; prev = sh.sentinel; next = sh.sentinel } in
+          Hashtbl.replace sh.table key e;
+          push_front sh e;
+          value)
+
+let find_or_compute t ~net_id ~cmd ?(tag = 0) box f =
+  let bounds = quantize_bounds t.config.quantum box in
+  let key = { net_id; cmd; tag; bounds } in
+  let sh = shard_for t key in
+  match probe sh key with
+  | Some v -> v
   | None ->
-      Metrics.incr m_misses;
       (* the abstraction runs OUTSIDE the shard lock: F# is the
          expensive part, and holding the lock here would serialize every
          domain whose keys land on this shard.  The price is that two
          domains missing on the same key concurrently both compute it —
          both results enclose F# of the same quantized box, so either is
-         sound; the insert below keeps the incumbent to maximise
-         sharing. *)
+         sound; [insert] keeps the incumbent. *)
       let qbox = if t.config.quantum <= 0.0 then box else B.of_bounds bounds in
-      let value = f qbox in
-      with_lock sh (fun () ->
-          match Hashtbl.find_opt sh.table key with
-          | Some e ->
-              unlink e;
-              push_front sh e;
-              e.value
-          | None ->
-              if Hashtbl.length sh.table >= sh.capacity then begin
-                let victim = sh.sentinel.prev in
-                unlink victim;
-                Hashtbl.remove sh.table victim.key;
-                sh.evictions <- sh.evictions + 1;
-                Metrics.incr m_evictions
-              end;
-              let e = { key; value; prev = sh.sentinel; next = sh.sentinel } in
-              Hashtbl.replace sh.table key e;
-              push_front sh e;
-              value)
+      insert sh key (f qbox)
 
 (* Batched lookup: probe every query first, then compute all misses in
    one [f] call (the batched F# kernel), deduplicating identical
@@ -203,28 +210,7 @@ let find_or_compute_batch t ~net_id ~cmd ?(tag = 0) boxes f =
         (fun box -> { net_id; cmd; tag; bounds = quantize_bounds t.config.quantum box })
         boxes
     in
-    let out : B.t option array = Array.make n None in
-    Array.iteri
-      (fun i key ->
-        let sh = shard_for t key in
-        let cached =
-          with_lock sh (fun () ->
-              match Hashtbl.find_opt sh.table key with
-              | Some e ->
-                  sh.hits <- sh.hits + 1;
-                  unlink e;
-                  push_front sh e;
-                  Some e.value
-              | None ->
-                  sh.misses <- sh.misses + 1;
-                  None)
-        in
-        match cached with
-        | Some v ->
-            Metrics.incr m_hits;
-            out.(i) <- Some v
-        | None -> Metrics.incr m_misses)
-      keys;
+    let out = Array.map (fun key -> probe (shard_for t key) key) keys in
     (* unique miss keys, first-occurrence order *)
     let first_of : (key, int) Hashtbl.t = Hashtbl.create 16 in
     let order = ref [] in
@@ -253,31 +239,7 @@ let find_or_compute_batch t ~net_id ~cmd ?(tag = 0) boxes f =
       Array.iteri
         (fun j i ->
           let key = keys.(i) in
-          let value = values.(j) in
-          let sh = shard_for t key in
-          let stored =
-            with_lock sh (fun () ->
-                match Hashtbl.find_opt sh.table key with
-                | Some e ->
-                    unlink e;
-                    push_front sh e;
-                    e.value
-                | None ->
-                    if Hashtbl.length sh.table >= sh.capacity then begin
-                      let victim = sh.sentinel.prev in
-                      unlink victim;
-                      Hashtbl.remove sh.table victim.key;
-                      sh.evictions <- sh.evictions + 1;
-                      Metrics.incr m_evictions
-                    end;
-                    let e =
-                      { key; value; prev = sh.sentinel; next = sh.sentinel }
-                    in
-                    Hashtbl.replace sh.table key e;
-                    push_front sh e;
-                    value)
-          in
-          Hashtbl.replace resolved key stored)
+          Hashtbl.replace resolved key (insert (shard_for t key) key values.(j)))
         miss_idx;
       Array.iteri
         (fun i key ->

@@ -63,18 +63,3 @@ let rk4_flow sys ~time ~state ~inputs ~duration ~steps =
   done;
   !s
 [@@lint.fp_exact "non-rigorous RK4 reference integrator: simulation plots and falsification only, never part of a proof"]
-
-let rk4_trajectory sys ~time ~state ~inputs ~duration ~steps =
-  if steps <= 0 then invalid_arg "Ode.rk4_trajectory: steps must be positive";
-  let h = duration /. float_of_int steps in
-  let rec go i s acc =
-    if i > steps then List.rev acc
-    else
-      let t = time +. (float_of_int i *. h) in
-      if i = steps then List.rev ((t, s) :: acc)
-      else
-        let s' = rk4_step sys ~time:t ~state:s ~inputs ~h in
-        go (i + 1) s' ((t, s) :: acc)
-  in
-  go 0 (Array.copy state) []
-[@@lint.fp_exact "non-rigorous RK4 reference integrator: simulation plots and falsification only, never part of a proof"]

@@ -40,14 +40,3 @@ val rk4_flow :
   steps:int ->
   float array
 (** Integrate over [duration] with [steps] RK4 steps. *)
-
-val rk4_trajectory :
-  system ->
-  time:float ->
-  state:float array ->
-  inputs:float array ->
-  duration:float ->
-  steps:int ->
-  (float * float array) list
-(** Same, returning all intermediate [(time, state)] points including the
-    initial one. *)

@@ -231,32 +231,43 @@ let test_resume_fingerprint_mismatch () =
 
 (* ----- compact table artifact ----- *)
 
-(* Stored tables are keyed by the fingerprint: the hex and the table
-   lines below were written by the code before the hash and box codec
-   moved into [Nncs.Codec], and must keep loading and answering. *)
-let pinned_table =
+(* Stored tables are keyed by the fingerprint.  The hex and the v2
+   table lines below pin the format: they must keep loading and
+   answering.  The v1 lines were written before the transition sampled
+   the controller at the period's start; they encode a different closed
+   loop and must be refused even though they parse. *)
+let table_lines ~v ~fp =
   [
-    {|{"t":"backreach-meta","v":1,"fingerprint":"fac7bd014bdb4401","grid":[9],"domain":[[0,4.5]],"commands":2,"escape_unsafe":false,"states":18}|};
+    Printf.sprintf
+      {|{"t":"backreach-meta","v":%d,"fingerprint":"%s","grid":[9],"domain":[[0,4.5]],"commands":2,"escape_unsafe":false,"states":18}|}
+      v fp;
     {|{"t":"unsafe","cell":8,"cmd":0,"k":0,"box":[[4,4.5]]}|};
     {|{"t":"unsafe","cell":8,"cmd":1,"k":0,"box":[[4,4.5]]}|};
     {|{"t":"table-end","unsafe":2}|};
   ]
 
+let load_lines lines =
+  with_temp_file (fun path ->
+      Out_channel.with_open_text path (fun oc ->
+          List.iter (fun l -> output_string oc (l ^ "\n")) lines);
+      Backreach.load path)
+
 let test_fingerprint_pinned () =
   let fp = Backreach.fingerprint (homing_config ()) (homing_system ()) in
-  Alcotest.(check string) "homing config" "fac7bd014bdb4401" fp;
-  with_temp_file (fun path ->
-      let oc = open_out path in
-      List.iter (fun l -> output_string oc (l ^ "\n")) pinned_table;
-      close_out oc;
-      match Backreach.load path with
-      | Error e -> Alcotest.failf "stored table refused: %s" e
-      | Ok t ->
-          Alcotest.(check string) "stored fingerprint" fp
-            (Backreach.table_fingerprint t);
-          Alcotest.(check int) "unsafe states" 2 (Backreach.num_unsafe t);
-          check_k "inside E" t 4.2 4.4 0 0;
-          check "mid-domain is safe" true (q t 1.0 2.0 0 = Backreach.Safe))
+  Alcotest.(check string) "homing config" "265598a600bc2b52" fp;
+  (match load_lines (table_lines ~v:2 ~fp:"265598a600bc2b52") with
+  | Error e -> Alcotest.failf "stored table refused: %s" e
+  | Ok t ->
+      Alcotest.(check string) "stored fingerprint" fp
+        (Backreach.table_fingerprint t);
+      Alcotest.(check int) "unsafe states" 2 (Backreach.num_unsafe t);
+      check_k "inside E" t 4.2 4.4 0 0;
+      check "mid-domain is safe" true (q t 1.0 2.0 0 = Backreach.Safe));
+  match load_lines (table_lines ~v:1 ~fp:"fac7bd014bdb4401") with
+  | Ok _ -> Alcotest.fail "a v1 table must be refused"
+  | Error e ->
+      check "v1 refusal names the version" true
+        (String.starts_with ~prefix:"backreach format v1" e)
 
 let test_save_load_roundtrip () =
   with_temp_file (fun path ->
@@ -419,6 +430,65 @@ let test_broken_transformer_flagged () =
 let reach_q = { reach1 with Reach.gamma = 32 }
 let verify_config_q = { verify_config with Verify.reach = reach_q }
 
+(* One system of the property: n cells of width 0.25 on [0, n/4], one
+   command per drift (drift m moves m cells per period), scores
+   w1*x + b1 for command 0 and the negation for command 1,
+   E = {x > eb/4 - 1/8} and T = {x < tb/4 - 1/8}.  Returns the forward
+   cross-check against the table, and the table. *)
+let lossless_cross_check ~n ~drifts ~eb ~tb ~w1 ~b1 =
+  let cw = 0.25 in
+  let ncmds = List.length drifts in
+  let commands =
+    Command.make
+      (Array.of_list (List.map (fun m -> [| float_of_int m *. 0.5 |]) drifts))
+  in
+  (* scores: row 0 is w1*x + b1, row 1 (if present) its negation —
+     boxes overlap on part of the domain, so Post# genuinely
+     branches *)
+  let rows =
+    Array.init ncmds (fun i ->
+        if i = 0 then float_of_int w1 else float_of_int (-w1))
+  in
+  let biases =
+    Array.init ncmds (fun i ->
+        if i = 0 then float_of_int b1 else float_of_int (-b1))
+  in
+  let sys =
+    System.make ~plant:plant1
+      ~controller:(make_controller ~commands ~net:(linear_net rows biases) ())
+      ~erroneous:
+        (Spec.coord_gt ~name:"err" ~dim:0
+           ~bound:((float_of_int eb *. cw) -. 0.125))
+      ~target:
+        (Spec.coord_lt ~name:"t" ~dim:0
+           ~bound:((float_of_int tb *. cw) -. 0.125))
+      ~horizon_steps:(3 * n)
+  in
+  let domain = B.of_bounds [| (0.0, float_of_int n *. cw) |] in
+  let cfg =
+    {
+      (Backreach.default_config ~domain ~grid:[| n |]) with
+      Backreach.reach = reach1;
+    }
+  in
+  let t = Backreach.build cfg sys in
+  let report = forward_report ~config:verify_config_q sys domain n in
+  (Backreach.check_forward t report, t)
+
+(* The property's shrunk counterexample while the backward transition
+   chose the next commands on the endpoint enclosure.  On cell 1,
+   [0.25, 0.5], with command 0 (one cell down) the scores 2x-1 and
+   -2x+1 overlap, so both commands are reachable; command 1 (two cells
+   up) then carries [0, 0.25] into E = {x > 0.625} during step 1.  On
+   the endpoint [0, 0.25] alone only command 0 is reachable, so that
+   table called the state safe. *)
+let test_commands_from_period_start () =
+  let cc, t =
+    lossless_cross_check ~n:5 ~drifts:[ -1; 2 ] ~eb:3 ~tb:1 ~w1:2 ~b1:(-1)
+  in
+  check_k "cell 1, command 0" t 0.3 0.45 0 1;
+  Alcotest.(check int) "no findings" 0 (List.length cc.Backreach.findings)
+
 let prop_forward_backward_agree =
   QCheck.Test.make ~count:60 ~name:"forward/backward verdicts agree"
     QCheck.(
@@ -428,7 +498,6 @@ let prop_forward_backward_agree =
         (pair (int_range (-2) 2) (int_range (-2) 2)))
     (fun (n, drifts, (eb0, tb0), (w1, b1)) ->
       QCheck.assume (drifts <> []);
-      let cw = 0.25 in
       let max_up =
         List.fold_left (fun a m -> if m > a then m else a) 0 drifts
       in
@@ -437,44 +506,7 @@ let prop_forward_backward_agree =
          that escape the generator's stated ranges *)
       let eb = max 1 (min eb0 (n - max_up)) in
       let tb = max 1 (min tb0 eb) in
-      let ncmds = List.length drifts in
-      let commands =
-        Command.make
-          (Array.of_list (List.map (fun m -> [| float_of_int m *. 0.5 |]) drifts))
-      in
-      (* scores: row 0 is w1*x + b1, row 1 (if present) its negation —
-         boxes overlap on part of the domain, so Post# genuinely
-         branches *)
-      let rows =
-        Array.init ncmds (fun i ->
-            if i = 0 then float_of_int w1 else float_of_int (-w1))
-      in
-      let biases =
-        Array.init ncmds (fun i ->
-            if i = 0 then float_of_int b1 else float_of_int (-b1))
-      in
-      let sys =
-        System.make ~plant:plant1
-          ~controller:
-            (make_controller ~commands ~net:(linear_net rows biases) ())
-          ~erroneous:
-            (Spec.coord_gt ~name:"err" ~dim:0
-               ~bound:((float_of_int eb *. cw) -. 0.125))
-          ~target:
-            (Spec.coord_lt ~name:"t" ~dim:0
-               ~bound:((float_of_int tb *. cw) -. 0.125))
-          ~horizon_steps:(3 * n)
-      in
-      let domain = B.of_bounds [| (0.0, float_of_int n *. cw) |] in
-      let cfg =
-        {
-          (Backreach.default_config ~domain ~grid:[| n |]) with
-          Backreach.reach = reach1;
-        }
-      in
-      let t = Backreach.build cfg sys in
-      let report = forward_report ~config:verify_config_q sys domain n in
-      let cc = Backreach.check_forward t report in
+      let cc, _ = lossless_cross_check ~n ~drifts ~eb ~tb ~w1 ~b1 in
       let unsound =
         List.exists
           (fun (f : Backreach.finding) ->
@@ -514,6 +546,8 @@ let () =
             test_cross_check_agreement;
           Alcotest.test_case "broken transformer flagged" `Quick
             test_broken_transformer_flagged;
+          Alcotest.test_case "commands from the period start" `Quick
+            test_commands_from_period_start;
           QCheck_alcotest.to_alcotest prop_forward_backward_agree;
         ] );
     ]

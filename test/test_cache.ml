@@ -352,10 +352,16 @@ let test_cached_verdicts_identical () =
   let cached =
     Verify.verify_partition ~config:(config ~abs_cache 1) sys cells
   in
+  let hits = Nncs_obs.Metrics.counter "nnabs.cache_hits" in
+  let hits_cold = Nncs_obs.Metrics.value hits in
   (* workers > 1: all domains share the process-wide sharded table *)
   let parallel =
     Verify.verify_partition ~config:(config ~abs_cache 4) sys cells
   in
+  (* the warm run re-asks the cold run's exact keys (quantum 0): a
+     [Reach] that stopped consulting the cache would score no hit *)
+  check "warm run hits the cache" true
+    (Nncs_obs.Metrics.value hits > hits_cold);
   Alcotest.(check (float 0.0))
     "cached coverage identical" plain.Verify.coverage cached.Verify.coverage;
   Alcotest.(check (float 0.0))
