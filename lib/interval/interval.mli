@@ -2,7 +2,12 @@
 
     An interval is a non-empty set [{x | lo <= x <= hi}] of reals with
     floating-point endpoints.  All operations return enclosures of the
-    exact set image (outward rounding, see {!Rounding}). *)
+    exact set image (outward rounding, see {!Rounding}).  An arithmetic
+    operation with an exact-zero operand (both bounds [+0.] or [-0.])
+    returns the exact result instead: {!add}, {!sub} and {!add_float}
+    return the other operand ({!neg} of it for [sub zero b]), and
+    {!mul}, {!div} and {!mul_float} return {!zero}, also against an
+    infinite bound. *)
 
 type t = private { lo : float; hi : float }
 

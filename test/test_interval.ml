@@ -11,19 +11,54 @@ let checkf = Alcotest.(check (float 1e-12))
 
 (* ----- generators ----- *)
 
+(* Mostly bounded intervals, some with an endpoint snapped to a signed
+   zero, plus exact zeros of both signs and unbounded intervals: the
+   operations short-cut an exact-zero operand and must stay sound
+   against infinite bounds. *)
+let signed_zero_gen = QCheck.Gen.oneofl [ 0.0; -0.0 ]
+
 let interval_gen =
   QCheck.Gen.(
-    let* a = float_range (-1000.0) 1000.0 in
-    let* w = float_range 0.0 100.0 in
-    return (I.make a (a +. w)))
+    let bounded =
+      let* a = float_range (-1000.0) 1000.0 in
+      let* w = float_range 0.0 100.0 in
+      let* z = signed_zero_gen in
+      frequency
+        [
+          (8, return (I.make a (a +. w)));
+          (1, return (I.make z w));
+          (1, return (I.make (-.w) z));
+        ]
+    in
+    let exact_zero =
+      let* lo = signed_zero_gen in
+      let* hi = signed_zero_gen in
+      return (I.make lo hi)
+    in
+    let unbounded =
+      let* a = float_range (-1000.0) 1000.0 in
+      oneofl
+        [ I.make Float.neg_infinity a; I.make a Float.infinity; I.entire ]
+    in
+    frequency [ (8, bounded); (1, exact_zero); (1, unbounded) ])
 
 let arb_interval = QCheck.make ~print:I.to_string interval_gen
 
+(* a finite member; an infinite side is replaced by a finite reach
+   beyond the other bound *)
 let member_gen iv =
   QCheck.Gen.(
+    let lo = I.lo iv and hi = I.hi iv in
     let* t = float_range 0.0 1.0 in
-    let v = I.lo iv +. (t *. (I.hi iv -. I.lo iv)) in
-    return (Float.max (I.lo iv) (Float.min (I.hi iv) v)))
+    let* d = float_range 0.0 1000.0 in
+    let v =
+      match (Float.is_finite lo, Float.is_finite hi) with
+      | true, true -> lo +. (t *. (hi -. lo))
+      | true, false -> lo +. d
+      | false, true -> hi -. d
+      | false, false -> d -. 500.0
+    in
+    return (Float.max lo (Float.min hi v)))
 
 let arb_interval_member =
   QCheck.make
@@ -93,6 +128,41 @@ let test_metrics () =
   checkf "mig (positive)" 1.0 (I.mig (I.make 1.0 2.0));
   check "degenerate" true (I.is_degenerate (I.of_float 3.0))
 
+(* ----- exact zeros ----- *)
+
+let same_bits a b =
+  Int64.equal (Int64.bits_of_float (I.lo a)) (Int64.bits_of_float (I.lo b))
+  && Int64.equal (Int64.bits_of_float (I.hi a)) (Int64.bits_of_float (I.hi b))
+
+(* an exact-zero operand gives the exact result, without the outward
+   nudge that would turn a zero into a subnormal interval *)
+let test_exact_zero_rule () =
+  List.iter
+    (fun x ->
+      let s = I.to_string x in
+      check ("add zero " ^ s) true (same_bits (I.add I.zero x) x);
+      check ("add " ^ s ^ " zero") true (same_bits (I.add x I.zero) x);
+      check ("sub " ^ s ^ " zero") true (same_bits (I.sub x I.zero) x);
+      check ("add_float " ^ s ^ " 0") true (same_bits (I.add_float x 0.0) x))
+    [ I.entire; I.make 1.0 2.0; I.make (-0.0) 3.0; I.make 0.1 0.3 ];
+  let is_zero name x = check name true (I.equal x I.zero) in
+  is_zero "mul zero entire" (I.mul I.zero I.entire);
+  is_zero "mul entire -zero" (I.mul I.entire (I.neg I.zero));
+  is_zero "div zero 3" (I.div I.zero (I.of_float 3.0));
+  is_zero "div (neg zero) 2" (I.div (I.neg I.zero) (I.of_float 2.0));
+  is_zero "mul_float 2 zero" (I.mul_float 2.0 I.zero);
+  (* regression: 0 * inf gave mul_float 0.0 NaN bounds on an unbounded
+     interval *)
+  List.iter
+    (fun x -> is_zero ("mul_float 0 " ^ I.to_string x) (I.mul_float 0.0 x))
+    [ I.entire; I.make 1.0 Float.infinity; I.make Float.neg_infinity (-1.0) ];
+  check "sub zero x is neg x" true
+    (same_bits (I.sub I.zero (I.make 1.0 2.0)) (I.neg (I.make 1.0 2.0)));
+  (* the divisor check still comes first *)
+  Alcotest.check_raises "div zero by a zero-containing divisor"
+    I.Division_by_zero_interval (fun () ->
+      ignore (I.div I.zero (I.make (-1.0) 1.0)))
+
 let test_division_by_zero () =
   Alcotest.check_raises "div by zero-containing"
     I.Division_by_zero_interval (fun () ->
@@ -139,8 +209,27 @@ let prop_binop name iop fop filter =
       QCheck.assume (filter i2);
       I.contains (iop i1 i2) (fop x1 x2))
 
+(* scalars for mul_float / add_float: signed zeros, and finite values
+   of either sign *)
+let arb_scalar_member =
+  QCheck.make
+    ~print:(fun (c, (iv, x)) ->
+      Printf.sprintf "%h, %s ∋ %.17g" c (I.to_string iv) x)
+    QCheck.Gen.(
+      let* c =
+        frequency
+          [ (1, signed_zero_gen); (4, float_range (-100.0) 100.0) ]
+      in
+      let* iv = interval_gen in
+      let* x = member_gen iv in
+      return (c, (iv, x)))
+
 let qcheck_props =
   [
+    QCheck.Test.make ~count:500 ~name:"mul_float sound" arb_scalar_member
+      (fun (c, (iv, x)) -> I.contains (I.mul_float c iv) (c *. x));
+    QCheck.Test.make ~count:500 ~name:"add_float sound" arb_scalar_member
+      (fun (c, (iv, x)) -> I.contains (I.add_float iv c) (x +. c));
     prop_binop "add sound" I.add ( +. ) (fun _ -> true);
     prop_binop "sub sound" I.sub ( -. ) (fun _ -> true);
     prop_binop "mul sound" I.mul ( *. ) (fun _ -> true);
@@ -238,6 +327,7 @@ let () =
           Alcotest.test_case "set operations" `Quick test_set_ops;
           Alcotest.test_case "metrics" `Quick test_metrics;
           Alcotest.test_case "division by zero" `Quick test_division_by_zero;
+          Alcotest.test_case "exact zero operands" `Quick test_exact_zero_rule;
           Alcotest.test_case "trig ranges" `Quick test_trig_ranges;
           Alcotest.test_case "atan2 quadrants" `Quick test_atan2_quadrants;
         ] );

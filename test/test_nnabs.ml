@@ -240,6 +240,28 @@ let test_nan_weight_network_sound () =
   check "poisoned output not finitely bounded" true
     (I.lo iv = Float.neg_infinity || I.hi iv = Float.infinity)
 
+let test_zero_weight_unbounded_input () =
+  (* regression: Interval.mul_float 0.0 on an unbounded input gave NaN
+     bounds (0 * inf), so the interval domain returned a NaN box where
+     a zero weight met an unbounded input *)
+  let out =
+    {
+      Net.weights = Mat.init 1 2 (fun _ j -> [| 0.0; 1.0 |].(j));
+      biases = [| 0.0 |];
+      activation = Act.Linear;
+    }
+  in
+  let net = Net.make ~input_dim:2 [| out |] in
+  let box = B.of_intervals [| I.entire; I.make 1.0 2.0 |] in
+  List.iter
+    (fun d ->
+      let iv = B.get (T.propagate d net box) 0 in
+      let name = T.domain_to_string d in
+      check (name ^ " has no NaN bound") false
+        (Float.is_nan (I.lo iv) || Float.is_nan (I.hi iv));
+      check (name ^ " contains [1, 2]") true (I.subset (I.make 1.0 2.0) iv))
+    [ T.Interval; T.Symbolic; T.Affine ]
+
 let test_output_bounds_shape () =
   let net = fig4_network () in
   let box = B.of_bounds [| (0.0, 1.0); (0.0, 1.0) |] in
@@ -366,6 +388,8 @@ let () =
             test_nan_poisoned_plane;
           Alcotest.test_case "nan-weight network" `Quick
             test_nan_weight_network_sound;
+          Alcotest.test_case "zero weight on an unbounded input" `Quick
+            test_zero_weight_unbounded_input;
           Alcotest.test_case "output bounds shape" `Quick
             test_output_bounds_shape;
         ] );

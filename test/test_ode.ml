@@ -663,6 +663,30 @@ let test_tape_acas_plant () =
         [ I.of_float 0.0; I.make 0.0 0.1 ])
     [ 6; 8 ]
 
+(* Exact zeros stay exact: the constant speeds have zero derivatives,
+   and every higher coefficient of a constant command is zero.  Nudged
+   outward, each would be a subnormal interval, and products with those
+   take the processor's slow path. *)
+let test_acas_series_no_subnormal () =
+  let sys = Nncs_acasxu.Dynamics.plant in
+  let subnormal v = Float.classify_float v = FP_subnormal in
+  for c = 0 to 4 do
+    let inputs = Nncs.Command.value_box D.commands c in
+    List.iter
+      (fun time ->
+        let z = Series.solution_coeffs sys.Ode.tape ~order:6 ~time ~state:acas_box ~inputs in
+        Array.iteri
+          (fun i zi ->
+            Array.iteri
+              (fun k iv ->
+                if subnormal (I.lo iv) || subnormal (I.hi iv) then
+                  Alcotest.failf "command %d: coefficient %d of state %d is %a" c k i
+                    I.pp iv)
+              zi)
+          z)
+      [ I.of_float 0.0; I.make 0.0 0.1 ]
+  done
+
 (* the direct step as it was built on the reference evaluator, with
    both series solved to the full order *)
 let ref_onestep sys ~order ~t1 ~h ~state ~inputs =
@@ -762,6 +786,8 @@ let additional_tests =
         Alcotest.test_case "acas plant bit-identical" `Quick test_tape_acas_plant;
         Alcotest.test_case "direct step bit-identical" `Quick
           test_onestep_matches_reference;
+        Alcotest.test_case "acas series has no subnormal endpoint" `Quick
+          test_acas_series_no_subnormal;
         Alcotest.test_case "zero divisors raise at every order" `Quick
           test_zero_divisor_parity;
       ] );
