@@ -353,7 +353,8 @@ let order = Arg.(value & opt int 6 & info [ "order" ] ~doc:"Taylor order.")
 let domain =
   Arg.(value & opt string "symbolic" & info [ "domain" ] ~doc:"NN abstraction: interval|symbolic|affine.")
 
-let nn_splits = Arg.(value & opt int 0 & info [ "nn-splits" ] ~doc:"Input bisections in F#.")
+let nn_splits =
+  Arg.(value & opt int 0 & info [ "nn-splits" ] ~doc:"Input bisections in F# (0 to 8).")
 let max_depth = Arg.(value & opt int 2 & info [ "max-depth" ] ~doc:"Split-refinement depth.")
 let workers = Arg.(value & opt int 1 & info [ "workers" ] ~doc:"Parallel domains.")
 

@@ -16,11 +16,20 @@ type t = {
   nn_splits : int;
 }
 
+(* Each F# query bisects its box into 2^nn_splits sub-boxes, all of
+   which go through the kernel in one call that no budget or deadline
+   can interrupt: at most 256 of them. *)
+let max_nn_splits = 8
+
 let make ~period ~commands ~networks ~select ~pre ~pre_abs ~post ~post_abs
     ?(domain = T.Symbolic) ?(nn_splits = 0) () =
   if period <= 0.0 then invalid_arg "Controller.make: non-positive period";
   if Array.length networks = 0 then invalid_arg "Controller.make: no networks";
   if nn_splits < 0 then invalid_arg "Controller.make: negative nn_splits";
+  if nn_splits > max_nn_splits then
+    invalid_arg
+      (Printf.sprintf "Controller.make: nn_splits %d above %d" nn_splits
+         max_nn_splits);
   for c = 0 to Command.size commands - 1 do
     let n = select c in
     if n < 0 || n >= Array.length networks then
@@ -41,73 +50,49 @@ let concrete_step ctrl ~state ~prev_cmd =
 
 let domain_tag = function T.Interval -> 0 | T.Symbolic -> 1 | T.Affine -> 2
 
-let abstract_scores ?cache ctrl ~box ~prev_cmd =
-  let net = ctrl.networks.(ctrl.select prev_cmd) in
-  let x = ctrl.pre_abs box in
-  let run b =
-    if ctrl.nn_splits = 0 then T.propagate ctrl.domain net b
-    else T.propagate_split ctrl.domain ~splits:ctrl.nn_splits net b
-  in
-  match cache with
-  | None -> run x
-  | Some c ->
-      (* entries are only shareable between queries that would run the
-         exact same abstraction: the key carries the network's
-         process-unique uid (never a controller-local index — the
-         domain cache outlives any one controller, and an index would
-         conflate different systems' networks), plus domain and split
-         depth in the tag *)
-      let tag = (ctrl.nn_splits * 3) + domain_tag ctrl.domain in
-      Nncs_nnabs.Cache.find_or_compute c ~net_id:(Net.uid net) ~cmd:prev_cmd ~tag
-        x run
-
 (* Queries sharing one previous command run the same abstraction on the
-   same network, so they can share a batched kernel call; distinct
-   previous commands are answered group by group (they may select
-   different networks and key the cache differently — co-batching them
-   would be unsound).  Each group consults the cache per leaf and
-   batches only the misses. *)
+   same network, so they share a batched kernel call; distinct previous
+   commands are answered group by group, in ascending order (they may
+   select different networks and key the cache differently —
+   co-batching them would be unsound).  With a cache, each group
+   consults it per query and batches only the misses.  Entries are only
+   shareable between queries that would run the exact same abstraction:
+   the key carries the network's process-unique uid (never a
+   controller-local index — the domain cache outlives any one
+   controller, and an index would conflate different systems'
+   networks), plus domain and split depth in the tag. *)
 let abstract_scores_batch ?cache ctrl queries =
-  let n = Array.length queries in
-  if n = 0 then [||]
-  else begin
-    let out : B.t option array = Array.make n None in
-    let groups : (int, int list) Hashtbl.t = Hashtbl.create 8 in
-    Array.iteri
-      (fun i (_, prev_cmd) ->
-        let tl = try Hashtbl.find groups prev_cmd with Not_found -> [] in
-        Hashtbl.replace groups prev_cmd (i :: tl))
-      queries;
-    let cmds =
-      List.sort Int.compare
-        (Hashtbl.fold (fun c _ acc -> c :: acc) groups [])
-    in
-    List.iter
-      (fun prev_cmd ->
-        let idxs = List.rev (Hashtbl.find groups prev_cmd) in
-        let net = ctrl.networks.(ctrl.select prev_cmd) in
-        let xs =
-          Array.of_list
-            (List.map (fun i -> ctrl.pre_abs (fst queries.(i))) idxs)
-        in
-        let run bs =
-          if ctrl.nn_splits = 0 then T.propagate_batch ctrl.domain net bs
-          else T.propagate_split_batch ctrl.domain ~splits:ctrl.nn_splits net bs
-        in
-        let ys =
-          match cache with
-          | None -> run xs
-          | Some c ->
-              let tag = (ctrl.nn_splits * 3) + domain_tag ctrl.domain in
-              Nncs_nnabs.Cache.find_or_compute_batch c ~net_id:(Net.uid net)
-                ~cmd:prev_cmd ~tag xs run
-        in
-        List.iteri (fun j i -> out.(i) <- Some ys.(j)) idxs)
-      cmds;
-    Array.map
-      (function Some y -> y | None -> assert false (* every index grouped *))
-      out
-  end
+  let out = Array.make (Array.length queries) None in
+  let cmds = List.sort_uniq Int.compare (Array.to_list (Array.map snd queries)) in
+  List.iter
+    (fun prev_cmd ->
+      let idxs =
+        List.filter (fun i -> snd queries.(i) = prev_cmd)
+          (List.init (Array.length queries) Fun.id)
+      in
+      let net = ctrl.networks.(ctrl.select prev_cmd) in
+      let xs =
+        Array.of_list (List.map (fun i -> ctrl.pre_abs (fst queries.(i))) idxs)
+      in
+      let run bs =
+        T.propagate_split_batch ctrl.domain ~splits:ctrl.nn_splits net bs
+      in
+      let ys =
+        match cache with
+        | None -> run xs
+        | Some c ->
+            let tag = (ctrl.nn_splits * 3) + domain_tag ctrl.domain in
+            Nncs_nnabs.Cache.find_or_compute_batch c ~net_id:(Net.uid net)
+              ~cmd:prev_cmd ~tag xs run
+      in
+      List.iteri (fun j i -> out.(i) <- Some ys.(j)) idxs)
+    cmds;
+  Array.map
+    (function Some y -> y | None -> assert false (* every index grouped *))
+    out
+
+let abstract_scores ?cache ctrl ~box ~prev_cmd =
+  (abstract_scores_batch ?cache ctrl [| (box, prev_cmd) |]).(0)
 
 (* [post_abs] plus command validation — the half of [abstract_step]
    after the scores; split out so a batched scorer (the leaf scheduler's

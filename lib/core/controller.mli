@@ -18,7 +18,7 @@ type t = {
   post : float array -> int;  (** Post: network output -> command index *)
   post_abs : Nncs_interval.Box.t -> int list;  (** Post# *)
   domain : Nncs_nnabs.Transformer.domain;  (** abstraction used for F# *)
-  nn_splits : int;  (** input bisections inside F# (0 = none) *)
+  nn_splits : int;  (** input bisections inside F# (0 = none, at most 8) *)
 }
 
 val make :
@@ -35,8 +35,12 @@ val make :
   unit ->
   t
 (** Validates that [select] maps every command index to a valid network
-    index and that the period is positive.  [domain] defaults to
-    [Symbolic], [nn_splits] to 0. *)
+    index, that the period is positive and that [nn_splits] is in
+    [0, 8], raising [Invalid_argument] otherwise.  [domain] defaults to
+    [Symbolic], [nn_splits] to 0.  The bound keeps one F# query at most
+    2^8 = 256 sub-boxes: a query runs as one uninterruptible kernel
+    call, since budgets and deadlines are only checked between control
+    steps. *)
 
 val concrete_step : t -> state:float array -> prev_cmd:int -> int
 (** One controller execution: the command index for the next period. *)
@@ -63,7 +67,8 @@ val abstract_scores :
   prev_cmd:int ->
   Nncs_interval.Box.t
 (** The intermediate p-box [y] = F#(Pre#(box)) before post-processing —
-    used by the influence-guided splitting heuristic.  [cache] as in
+    used by the influence-guided splitting heuristic:
+    {!abstract_scores_batch} on a batch of one.  [cache] as in
     {!abstract_step}. *)
 
 val abstract_scores_batch :
@@ -71,13 +76,14 @@ val abstract_scores_batch :
   t ->
   (Nncs_interval.Box.t * int) array ->
   Nncs_interval.Box.t array
-(** Batched {!abstract_scores} over [(box, prev_cmd)] queries: queries
-    are grouped by previous command (hence network and cache key family
-    — groups are never co-batched), the cache is consulted per leaf, and
-    only the misses of a group go through one blocked kernel call
-    ({!Nncs_nnabs.Transformer.propagate_batch}).  Result [i] is
-    bit-for-bit [abstract_scores ?cache ctrl ~box:(fst queries.(i))
-    ~prev_cmd:(snd queries.(i))] evaluated in group order. *)
+(** {!abstract_scores} of every [(box, prev_cmd)] query: queries are
+    grouped by previous command (hence network and cache key family —
+    groups are never co-batched) and answered group by group in
+    ascending command order; the cache is consulted per query, and only
+    the misses of a group go through one kernel call
+    ({!Nncs_nnabs.Transformer.propagate_split_batch}).  Lanes are
+    independent, so result [i] is bit-for-bit the answer to query [i]
+    alone, given the same cache contents. *)
 
 val commands_of_scores : t -> Nncs_interval.Box.t -> int list
 (** The post-processing half of {!abstract_step}: [post_abs] on a score

@@ -67,7 +67,7 @@ let analyze ?(config = default_config) ?(budget = Budget.none) ?abstract sys r0
   let cache = Option.map Nncs_nnabs.Cache.shared config.abs_cache in
   (* the controller-abstraction hook: the leaf scheduler's lockstep
      driver overrides it to park the leaf at every F# query so queries
-     from co-scheduled leaves batch into one blocked kernel call; it
+     from co-scheduled leaves batch into one kernel call; it
      receives the *current* controller, so the degradation ladder's
      domain swap still reaches the override *)
   let abstract_step =

@@ -77,7 +77,7 @@ val analyze :
     control step (default
     [Controller.abstract_step ?cache sys.controller]): the leaf
     scheduler's batched mode passes a hook that parks the analysis at
-    each F# query so co-scheduled leaves share one blocked kernel call.
+    each F# query so co-scheduled leaves share one kernel call.
     The override receives the system's {e current} controller — under
     the degradation ladder's interval rung, the domain-swapped one — and
     must be semantically identical to the default for verdicts to be

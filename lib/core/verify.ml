@@ -327,20 +327,21 @@ end
    tasks per pull and runs their reachability analyses as effect-based
    fibers in lockstep: each leaf parks at every controller-abstraction
    query ([Fsharp_scores]), the driver gathers the parked queries of all
-   co-scheduled leaves, answers them with one blocked kernel call
+   co-scheduled leaves, answers them with one kernel call
    ({!Controller.abstract_scores_batch}), and resumes the fibers in
    index order.
 
    Verdict preservation: every query is answered with the bitwise value
-   the scalar path would compute (the batched kernel keeps each lane's
-   float-op order), each fiber's own sequence of queries and answers is
-   therefore identical to its scalar execution, and reassembly is the
-   unchanged path-sorted DFS — so verdicts, leaf sets and journal
-   records are byte-identical to [batch_leaves = 1] at any worker
-   count.  Per-leaf firewalls survive batching: a group call that fails
-   is retried query by query on the scalar path, and only the culpable
-   fiber is discontinued with its exception (caught by that leaf's
-   ladder or firewall exactly as in the scalar path). *)
+   the scalar path would compute (kernel lanes are independent: a box's
+   answer does not depend on the batch it rides in), each fiber's own
+   sequence of queries and answers is therefore identical to its scalar
+   execution, and reassembly is the unchanged path-sorted DFS — so
+   verdicts, leaf sets and journal records are byte-identical to
+   [batch_leaves = 1] at any worker count.  Per-leaf firewalls survive
+   batching: a group call that fails is retried query by query, as
+   batches of one, and only the culpable fiber is discontinued with its
+   exception (caught by that leaf's ladder or firewall exactly as in the
+   scalar path). *)
 
 type fsharp_query = { q_ctrl : Controller.t; q_box : B.t; q_cmd : int }
 type _ Effect.t += Fsharp_scores : fsharp_query -> B.t Effect.t
@@ -427,8 +428,8 @@ let run_lockstep ~cache (bodies : (unit -> 'a) array) : 'a option array =
                 List.iteri (fun j (i, _) -> answers.(i) <- Some (Ok ys.(j))) iqs
             | exception e when not (Firewall.fatal e) ->
                 (* the per-leaf firewall across a batch: retry each query
-                   alone on the scalar path so only the culpable leaf
-                   fails — its siblings get their scalar-identical
+                   alone, as a batch of one, so only the culpable leaf
+                   fails — its siblings get their bit-identical
                    answers *)
                 List.iter
                   (fun (i, q) ->
@@ -693,16 +694,12 @@ let verify_partition ?cancel ?(config = default_config) ?progress ?on_cell
     | Error f ->
         complete_terminal task (unknown_leaf ~depth:task.t_depth task.t_state f)
   in
-  let process task =
-    match pre_process task with
-    | `Done -> ()
-    | `Run -> apply_outcome task (leaf_outcome task)
-  in
-  (* co-scheduled group: run the [`Run] tasks as lockstep fibers sharing
-     batched F# calls; outcomes are applied in task order afterwards, so
-     reassembly sees the same completions as the scalar path *)
+  (* one pulled group: a single leaf to run runs directly; several run
+     as lockstep fibers sharing batched F# calls, with the outcomes
+     applied in task order afterwards, so reassembly sees the same
+     completions as the scalar path *)
   let cache = Option.map Nncs_nnabs.Cache.shared config.reach.Reach.abs_cache in
-  let process_batch tasks =
+  let process tasks =
     let run_tasks =
       List.filter
         (fun t -> match pre_process t with `Run -> true | `Done -> false)
@@ -782,26 +779,24 @@ let verify_partition ?cancel ?(config = default_config) ?progress ?on_cell
           stolen
         in
         let stolen_flags = List.map stolen_of group in
-        (try
-           match group with
-           | [ task ] ->
-               Span.with_ "verify.leaf"
-                 ~attrs:
-                   [
-                     ("cell", Nncs_obs.Trace.Int task.t_cell);
-                     ("depth", Nncs_obs.Trace.Int task.t_depth);
-                     ("worker", Nncs_obs.Trace.Int w);
-                     ("stolen", Nncs_obs.Trace.Bool (List.hd stolen_flags));
-                   ]
-                 (fun () -> process task)
-           | group ->
-               Span.with_ "verify.leaf_batch"
-                 ~attrs:
-                   [
-                     ("leaves", Nncs_obs.Trace.Int (List.length group));
-                     ("worker", Nncs_obs.Trace.Int w);
-                   ]
-                 (fun () -> process_batch group)
+        let span, attrs =
+          match group with
+          | [ task ] ->
+              ( "verify.leaf",
+                [
+                  ("cell", Nncs_obs.Trace.Int task.t_cell);
+                  ("depth", Nncs_obs.Trace.Int task.t_depth);
+                  ("worker", Nncs_obs.Trace.Int w);
+                  ("stolen", Nncs_obs.Trace.Bool (List.hd stolen_flags));
+                ] )
+          | group ->
+              ( "verify.leaf_batch",
+                [
+                  ("leaves", Nncs_obs.Trace.Int (List.length group));
+                  ("worker", Nncs_obs.Trace.Int w);
+                ] )
+        in
+        (try Span.with_ span ~attrs (fun () -> process group)
          with e ->
            if Firewall.fatal e then begin
              (* hand the orphans back before dying: every subtree of the

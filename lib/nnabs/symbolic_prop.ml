@@ -32,18 +32,20 @@ let input_magnitude box =
 (* ----- dense kernel state -----
 
    A plane holds one side (lower or upper) of the symbolic bounds of a
-   whole layer: for n neurons over m network inputs, the affine
-   coefficients live in one flat row-major n*m array, with per-neuron
-   constant and accumulated-error terms alongside.  Every neuron's value
-   satisfies  lo(x) - lo_err <= value(x) <= up(x) + up_err  over the
-   input box.  The four planes (lower/upper x current/next) are scratch
-   buffers owned by the calling domain and reused across layers and
-   calls, so the hot loop performs no per-neuron allocation. *)
+   whole layer for a batch of [k] input boxes, its lanes: lane [l]'s
+   neuron [i] is plane row [l*n + i], whose [m] affine coefficients over
+   the network inputs sit at [(l*n + i)*m] of one flat row-major array,
+   with its constant and accumulated-error terms at index [l*n + i].
+   Every neuron's value satisfies
+   lo(x) - lo_err <= value(x) <= up(x) + up_err  over its lane's box.
+   The four planes (lower/upper x current/next) are scratch buffers
+   owned by the calling domain and reused across layers and calls, so
+   the hot loop performs no per-neuron allocation. *)
 
 type plane = {
-  mutable c : float array;  (* row-major n*m coefficients *)
-  mutable k : float array;  (* n constant terms *)
-  mutable e : float array;  (* n error bounds, >= 0 *)
+  mutable c : float array;  (* row-major rows*m coefficients *)
+  mutable k : float array;  (* one constant term per row *)
+  mutable e : float array;  (* one error bound per row, >= 0 *)
 }
 
 let make_plane () = { c = [||]; k = [||]; e = [||] }
@@ -137,60 +139,68 @@ let zero_row p i m =
   p.k.(i) <- 0.0;
   p.e.(i) <- 0.0
 
-(* The affine layer: dst = W * src + b on both bound planes at once.
-   Positive weights pull from the same-side plane, negative weights from
-   the opposite side; per-row rounding is folded into the error term
-   exactly as an inner-product accumulation of nterms*(m+1)+1 ops. *)
-let affine_rows ~xmag w b m src_lo src_up dst_lo dst_up =
+(* The affine layer: dst = W * src + b on both bound planes of every
+   lane.  [src] holds [k] lanes of [cols] rows, [dst] receives [k] lanes
+   of [n] rows.  Positive weights pull from the same-side plane,
+   negative weights from the opposite side; per-row rounding is folded
+   into the error term exactly as an inner-product accumulation of
+   nterms*(m+1)+1 ops.  Each (row, lane) pair runs the whole (j, kk)
+   loop with its accumulators in locals, so a lane's float-operation
+   sequence depends neither on [k] nor on the lane's position. *)
+let affine_rows ~k ~xmags w b m src_lo src_up dst_lo dst_up =
   let n = Mat.rows w and cols = Mat.cols w in
-  ensure dst_lo n m;
-  ensure dst_up n m;
+  ensure dst_lo (k * n) m;
+  ensure dst_up (k * n) m;
   for i = 0 to n - 1 do
-    let off = i * m in
-    Array.fill dst_lo.c off m 0.0;
-    Array.fill dst_up.c off m 0.0;
     let bi = b.(i) in
-    let up_const = ref bi and lo_const = ref bi in
-    let up_abs = ref (Float.abs bi) and lo_abs = ref (Float.abs bi) in
-    let up_err = ref 0.0 and lo_err = ref 0.0 in
-    let nterms = ref 0 in
-    for j = 0 to cols - 1 do
-      let wij = Mat.get w i j in
-      if (wij <> 0.0) [@lint.fp_exact "exact zero test: skips structurally-zero terms; NaN falls through conservatively"] then begin
-        incr nterms;
-        let su, sl = if wij > 0.0 then (src_up, src_lo) else (src_lo, src_up) in
-        let joff = j * m in
-        for kk = 0 to m - 1 do
-          let p = wij *. su.c.(joff + kk) in
-          dst_up.c.(off + kk) <- dst_up.c.(off + kk) +. p;
-          up_abs := !up_abs +. Float.abs p
-        done;
-        let pc = wij *. su.k.(j) in
-        up_const := !up_const +. pc;
-        up_abs := !up_abs +. Float.abs pc;
-        up_err := R.add_up !up_err (R.mul_up (Float.abs wij) su.e.(j));
-        for kk = 0 to m - 1 do
-          let p = wij *. sl.c.(joff + kk) in
-          dst_lo.c.(off + kk) <- dst_lo.c.(off + kk) +. p;
-          lo_abs := !lo_abs +. Float.abs p
-        done;
-        let pc = wij *. sl.k.(j) in
-        lo_const := !lo_const +. pc;
-        lo_abs := !lo_abs +. Float.abs pc;
-        lo_err := R.add_up !lo_err (R.mul_up (Float.abs wij) sl.e.(j))
+    for l = 0 to k - 1 do
+      let r = (l * n) + i in
+      let off = r * m and src0 = l * cols in
+      Array.fill dst_lo.c off m 0.0;
+      Array.fill dst_up.c off m 0.0;
+      let up_const = ref bi and lo_const = ref bi in
+      let up_abs = ref (Float.abs bi) and lo_abs = ref (Float.abs bi) in
+      let up_err = ref 0.0 and lo_err = ref 0.0 in
+      let nterms = ref 0 in
+      for j = 0 to cols - 1 do
+        let wij = Mat.get w i j in
+        if (wij <> 0.0) [@lint.fp_exact "exact zero test: skips structurally-zero terms; NaN falls through conservatively"] then begin
+          incr nterms;
+          let su, sl = if wij > 0.0 then (src_up, src_lo) else (src_lo, src_up) in
+          let srow = src0 + j in
+          let joff = srow * m in
+          for kk = 0 to m - 1 do
+            let p = wij *. su.c.(joff + kk) in
+            dst_up.c.(off + kk) <- dst_up.c.(off + kk) +. p;
+            up_abs := !up_abs +. Float.abs p
+          done;
+          let pc = wij *. su.k.(srow) in
+          up_const := !up_const +. pc;
+          up_abs := !up_abs +. Float.abs pc;
+          up_err := R.add_up !up_err (R.mul_up (Float.abs wij) su.e.(srow));
+          for kk = 0 to m - 1 do
+            let p = wij *. sl.c.(joff + kk) in
+            dst_lo.c.(off + kk) <- dst_lo.c.(off + kk) +. p;
+            lo_abs := !lo_abs +. Float.abs p
+          done;
+          let pc = wij *. sl.k.(srow) in
+          lo_const := !lo_const +. pc;
+          lo_abs := !lo_abs +. Float.abs pc;
+          lo_err := R.add_up !lo_err (R.mul_up (Float.abs wij) sl.e.(srow))
+        end
+      done;
+      dst_up.k.(r) <- !up_const;
+      dst_lo.k.(r) <- !lo_const;
+      if !nterms = 0 then begin
+        dst_up.e.(r) <- 0.0;
+        dst_lo.e.(r) <- 0.0
       end
-    done;
-    dst_up.k.(i) <- !up_const;
-    dst_lo.k.(i) <- !lo_const;
-    if !nterms = 0 then begin
-      dst_up.e.(i) <- 0.0;
-      dst_lo.e.(i) <- 0.0
-    end
-    else begin
-      let nops = (!nterms * (m + 1)) + 1 in
-      dst_up.e.(i) <- R.add_up !up_err (accumulation_error nops (!up_abs *. xmag));
-      dst_lo.e.(i) <- R.add_up !lo_err (accumulation_error nops (!lo_abs *. xmag))
-    end
+      else begin
+        let nops = (!nterms * (m + 1)) + 1 and xmag = xmags.(l) in
+        dst_up.e.(r) <- R.add_up !up_err (accumulation_error nops (!up_abs *. xmag));
+        dst_lo.e.(r) <- R.add_up !lo_err (accumulation_error nops (!lo_abs *. xmag))
+      end
+    done
   done
 
 (* The chord slope u / (u - l) for an unstable node, as an interval to
@@ -214,13 +224,10 @@ let scale_row ~xmag p i m lam bias =
   let err = R.add_up 0.0 (R.mul_up (Float.abs lam) p.e.(i)) in
   p.e.(i) <- R.add_up err (accumulation_error (m + 2) (!absacc *. xmag))
 
-(* ReLU relaxation of a whole layer in place (ReluVal/Neurify rules);
-   counts straddling neurons into [unstable].  [row0] offsets the plane
-   rows: the batched kernel stores leaf [l]'s layer as rows
-   [l*n .. l*n+n-1] of one wide plane and relaxes each leaf block with
-   this same code, so the per-leaf float-op sequence is identical to the
-   scalar path's. *)
-let relu_rows ~unstable ~xmag ?(row0 = 0) box p_lo p_up n m =
+(* ReLU relaxation of one lane's layer in place (ReluVal/Neurify rules);
+   counts straddling neurons into [unstable].  The lane's [n] rows start
+   at plane row [row0]. *)
+let relu_rows ~unstable ~xmag ~row0 box p_lo p_up n m =
   for i0 = 0 to n - 1 do
     let i = row0 + i0 in
     let l_lo = eval_lower_row box p_lo i m
@@ -266,192 +273,28 @@ let relu_rows ~unstable ~xmag ?(row0 = 0) box p_lo p_up n m =
     end
   done
 
-(* Run the whole network through the domain's scratch planes; afterwards
-   [cur_lo]/[cur_up] hold the output layer's bounds.  Callers must
-   materialise what they need before the next propagation reuses the
-   buffers. *)
-let propagate_planes net box =
-  if B.dim box <> Net.input_dim net then
-    invalid_arg "Symbolic_prop.propagate: input dimension mismatch";
-  let xmag = input_magnitude box in
-  let m = B.dim box in
-  let s = Domain.DLS.get scratch_key in
-  ensure s.cur_lo m m;
-  ensure s.cur_up m m;
-  for i = 0 to m - 1 do
-    let off = i * m in
-    Array.fill s.cur_lo.c off m 0.0;
-    Array.fill s.cur_up.c off m 0.0;
-    s.cur_lo.c.(off + i) <- 1.0;
-    s.cur_up.c.(off + i) <- 1.0;
-    s.cur_lo.k.(i) <- 0.0;
-    s.cur_up.k.(i) <- 0.0;
-    s.cur_lo.e.(i) <- 0.0;
-    s.cur_up.e.(i) <- 0.0
-  done;
-  let n = ref m in
-  Array.iteri
-    (fun li l ->
-      Span.with_ "nnabs.layer"
-        ~attrs:
-          [
-            ("layer", Nncs_obs.Trace.Int li);
-            ("neurons", Int (Mat.rows l.Net.weights));
-          ]
-        (fun () ->
-          let rows = Mat.rows l.Net.weights in
-          affine_rows ~xmag l.Net.weights l.Net.biases m s.cur_lo s.cur_up
-            s.nxt_lo s.nxt_up;
-          (match l.Net.activation with
-          | Nncs_nn.Activation.Linear -> ()
-          | Nncs_nn.Activation.Relu ->
-              (* aggregate locally, publish once per layer: the per-neuron
-                 hot loop never touches the shared atomics *)
-              let unstable = ref 0 in
-              relu_rows ~unstable ~xmag box s.nxt_lo s.nxt_up rows m;
-              Metrics.add m_neurons rows;
-              Metrics.add m_unstable !unstable);
-          swap s;
-          n := rows))
-    net.Net.layers;
-  (s, !n, m)
-
-let propagate net box =
-  let s, n, m = propagate_planes net box in
-  B.of_intervals
-    (Array.init n (fun i ->
-         let lo = eval_lower_row box s.cur_lo i m
-         and hi = eval_upper_row box s.cur_up i m in
-         if lo <= hi then I.make lo hi else inverted_hull lo hi))
-
-let output_bounds net box =
-  let s, n, m = propagate_planes net box in
-  Array.init n (fun i ->
-      let off = i * m in
-      ( Array.sub s.cur_lo.c off m,
-        s.cur_lo.k.(i),
-        Array.sub s.cur_up.c off m,
-        s.cur_up.k.(i) ))
-
-(* ----- batched kernel -----
-
-   The batch path pushes [k] input boxes through the network in one pass
-   per layer.  The scratch planes widen from [n x m] panels to k-leaf
-   blocks: leaf [l]'s neuron [i] lives at plane row [l*n + i]
-   (leaves x neurons x m row-major, with per-leaf constant/error lanes
-   at the same row index), so the affine transform becomes a blocked
-   matrix-matrix kernel that streams each weight [wij] once across the
-   whole batch instead of once per leaf.
-
-   Bitwise determinism: for a fixed leaf the float operations execute in
-   exactly the scalar order — the leaf loop only sits *between* the
-   weight loop and the inner accumulation, never inside a single leaf's
-   dependency chain — and each leaf keeps its own accumulators, error
-   lanes, and input magnitude.  [propagate_batch net boxes] is therefore
-   bit-for-bit [Array.map (propagate net) boxes]; batching amortizes
-   weight streaming and loop overhead, not summation order. *)
-
-let batch_scratch_key : scratch Domain.DLS.key =
-  Domain.DLS.new_key (fun () ->
-      {
-        cur_lo = make_plane ();
-        cur_up = make_plane ();
-        nxt_lo = make_plane ();
-        nxt_up = make_plane ();
-      })
-
-(* dst = W * src + b for every leaf block at once.  [src] holds [k]
-   blocks of [cols] rows, [dst] receives [k] blocks of [n] rows; the
-   per-leaf accumulator arrays replay the scalar [affine_rows] reference
-   sequence lane by lane.  [nterms] counts structurally nonzero weights
-   of the row and is leaf-independent. *)
-let affine_rows_batch ~k ~xmags w b m src_lo src_up dst_lo dst_up =
-  let n = Mat.rows w and cols = Mat.cols w in
-  ensure dst_lo (k * n) m;
-  ensure dst_up (k * n) m;
-  let up_const = Array.make k 0.0 and lo_const = Array.make k 0.0 in
-  let up_abs = Array.make k 0.0 and lo_abs = Array.make k 0.0 in
-  let up_err = Array.make k 0.0 and lo_err = Array.make k 0.0 in
-  for i = 0 to n - 1 do
-    let bi = b.(i) in
-    for l = 0 to k - 1 do
-      let off = ((l * n) + i) * m in
-      Array.fill dst_lo.c off m 0.0;
-      Array.fill dst_up.c off m 0.0;
-      up_const.(l) <- bi;
-      lo_const.(l) <- bi;
-      up_abs.(l) <- Float.abs bi;
-      lo_abs.(l) <- Float.abs bi;
-      up_err.(l) <- 0.0;
-      lo_err.(l) <- 0.0
-    done;
-    let nterms = ref 0 in
-    for j = 0 to cols - 1 do
-      let wij = Mat.get w i j in
-      if (wij <> 0.0) [@lint.fp_exact "exact zero test: skips structurally-zero terms; NaN falls through conservatively"] then begin
-        incr nterms;
-        let su, sl = if wij > 0.0 then (src_up, src_lo) else (src_lo, src_up) in
-        let awij = Float.abs wij in
-        for l = 0 to k - 1 do
-          let srow = (l * cols) + j in
-          let joff = srow * m in
-          let doff = ((l * n) + i) * m in
-          for kk = 0 to m - 1 do
-            let p = wij *. su.c.(joff + kk) in
-            dst_up.c.(doff + kk) <- dst_up.c.(doff + kk) +. p;
-            up_abs.(l) <- up_abs.(l) +. Float.abs p
-          done;
-          let pc = wij *. su.k.(srow) in
-          up_const.(l) <- up_const.(l) +. pc;
-          up_abs.(l) <- up_abs.(l) +. Float.abs pc;
-          up_err.(l) <- R.add_up up_err.(l) (R.mul_up awij su.e.(srow));
-          for kk = 0 to m - 1 do
-            let p = wij *. sl.c.(joff + kk) in
-            dst_lo.c.(doff + kk) <- dst_lo.c.(doff + kk) +. p;
-            lo_abs.(l) <- lo_abs.(l) +. Float.abs p
-          done;
-          let pc = wij *. sl.k.(srow) in
-          lo_const.(l) <- lo_const.(l) +. pc;
-          lo_abs.(l) <- lo_abs.(l) +. Float.abs pc;
-          lo_err.(l) <- R.add_up lo_err.(l) (R.mul_up awij sl.e.(srow))
-        done
-      end
-    done;
-    for l = 0 to k - 1 do
-      let r = (l * n) + i in
-      dst_up.k.(r) <- up_const.(l);
-      dst_lo.k.(r) <- lo_const.(l);
-      if !nterms = 0 then begin
-        dst_up.e.(r) <- 0.0;
-        dst_lo.e.(r) <- 0.0
-      end
-      else begin
-        let nops = (!nterms * (m + 1)) + 1 in
-        dst_up.e.(r) <-
-          R.add_up up_err.(l) (accumulation_error nops (up_abs.(l) *. xmags.(l)));
-        dst_lo.e.(r) <-
-          R.add_up lo_err.(l) (accumulation_error nops (lo_abs.(l) *. xmags.(l)))
-      end
-    done
-  done
-
-let propagate_batch_planes net boxes =
-  let k = Array.length boxes in
-  let m = Net.input_dim net in
+(* Run every box through the network as one lane of the domain's
+   scratch planes, one pass per layer; afterwards [cur_lo]/[cur_up]
+   hold the output layer's bounds, lane [l]'s output [i] at row
+   [l*n + i].  A batch shares the layer passes and the per-call set-up;
+   each lane keeps its own box, input magnitude and accumulators.
+   Callers must materialise what they need before the next propagation
+   reuses the buffers. *)
+let propagate_planes net boxes =
+  let k = Array.length boxes and m = Net.input_dim net in
   Array.iter
     (fun box ->
       if B.dim box <> m then
         invalid_arg "Symbolic_prop.propagate_batch: input dimension mismatch")
     boxes;
   let xmags = Array.map input_magnitude boxes in
-  let s = Domain.DLS.get batch_scratch_key in
+  let s = Domain.DLS.get scratch_key in
   ensure s.cur_lo (k * m) m;
   ensure s.cur_up (k * m) m;
   for r = 0 to (k * m) - 1 do
-    let off = r * m in
+    let off = r * m and i = r mod m in
     Array.fill s.cur_lo.c off m 0.0;
     Array.fill s.cur_up.c off m 0.0;
-    let i = r mod m in
     s.cur_lo.c.(off + i) <- 1.0;
     s.cur_up.c.(off + i) <- 1.0;
     s.cur_lo.k.(r) <- 0.0;
@@ -462,7 +305,7 @@ let propagate_batch_planes net boxes =
   let n = ref m in
   Array.iteri
     (fun li l ->
-      Span.with_ "nnabs.layer_batch"
+      Span.with_ "nnabs.layer"
         ~attrs:
           [
             ("layer", Nncs_obs.Trace.Int li);
@@ -471,15 +314,17 @@ let propagate_batch_planes net boxes =
           ]
         (fun () ->
           let rows = Mat.rows l.Net.weights in
-          affine_rows_batch ~k ~xmags l.Net.weights l.Net.biases m s.cur_lo
-            s.cur_up s.nxt_lo s.nxt_up;
+          affine_rows ~k ~xmags l.Net.weights l.Net.biases m s.cur_lo s.cur_up
+            s.nxt_lo s.nxt_up;
           (match l.Net.activation with
           | Nncs_nn.Activation.Linear -> ()
           | Nncs_nn.Activation.Relu ->
+              (* aggregate locally, publish once per layer: the per-neuron
+                 hot loop never touches the shared atomics *)
               let unstable = ref 0 in
-              for lf = 0 to k - 1 do
-                relu_rows ~unstable ~xmag:xmags.(lf) ~row0:(lf * rows)
-                  boxes.(lf) s.nxt_lo s.nxt_up rows m
+              for lane = 0 to k - 1 do
+                relu_rows ~unstable ~xmag:xmags.(lane) ~row0:(lane * rows)
+                  boxes.(lane) s.nxt_lo s.nxt_up rows m
               done;
               Metrics.add m_neurons (rows * k);
               Metrics.add m_unstable !unstable);
@@ -491,7 +336,7 @@ let propagate_batch_planes net boxes =
 let propagate_batch net boxes =
   if Array.length boxes = 0 then [||]
   else
-    let s, n, m = propagate_batch_planes net boxes in
+    let s, n, m = propagate_planes net boxes in
     Array.mapi
       (fun l box ->
         B.of_intervals
@@ -501,6 +346,17 @@ let propagate_batch net boxes =
                and hi = eval_upper_row box s.cur_up r m in
                if lo <= hi then I.make lo hi else inverted_hull lo hi)))
       boxes
+
+let propagate net box = (propagate_batch net [| box |]).(0)
+
+let output_bounds net box =
+  let s, n, m = propagate_planes net [| box |] in
+  Array.init n (fun i ->
+      let off = i * m in
+      ( Array.sub s.cur_lo.c off m,
+        s.cur_lo.k.(i),
+        Array.sub s.cur_up.c off m,
+        s.cur_up.k.(i) ))
 
 (* Narrow test hooks: the NaN-poisoned-plane regression needs a plane
    whose *coefficients* are poisoned while the constant and error lanes

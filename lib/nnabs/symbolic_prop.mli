@@ -11,18 +11,19 @@
     affine layers. *)
 
 val propagate : Nncs_nn.Network.t -> Nncs_interval.Box.t -> Nncs_interval.Box.t
-(** Sound enclosure of [{F(x) | x in box}]. *)
+(** Sound enclosure of [{F(x) | x in box}]: [propagate_batch] on a batch
+    of one. *)
 
 val propagate_batch :
   Nncs_nn.Network.t -> Nncs_interval.Box.t array -> Nncs_interval.Box.t array
 (** [propagate_batch net boxes] pushes all [k] boxes through the network
-    in one pass per layer: the scratch planes widen to
-    [leaves x neurons x m] blocks with per-leaf constant/error lanes, so
-    the affine transform becomes a blocked matrix–matrix kernel that
-    streams each weight once per batch instead of once per leaf.  Each
-    leaf's float-operation sequence is the scalar one, so the result is
-    bit-for-bit [Array.map (propagate net) boxes] — batching amortizes
-    weight streaming and loop overhead, never summation order.  Raises
+    as the lanes of one pass per layer: the scratch planes hold
+    [k x neurons] rows of [m] coefficients, with a constant and an error
+    term per row, so a batch shares the layer passes and the per-call
+    set-up.  Lanes are independent: each keeps its own box, input
+    magnitude and accumulators, and its float-operation sequence depends
+    neither on [k] nor on its position in the batch, so each output is
+    bit-for-bit the same box at any batch width.  Raises
     [Invalid_argument] if any box's dimension differs from the network's
     input dimension. *)
 

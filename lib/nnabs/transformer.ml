@@ -13,81 +13,53 @@ let domain_to_string = function
   | Symbolic -> "symbolic"
   | Affine -> "affine"
 
-let propagate = function
-  | Interval -> Interval_prop.propagate
-  | Symbolic -> Symbolic_prop.propagate
-  | Affine -> Affine_prop.propagate
-
-let propagate_split domain ~splits net box =
-  if splits < 0 then invalid_arg "Transformer.propagate_split: negative splits";
-  let rec go depth box =
-    if depth = 0 then propagate domain net box
-    else
-      let l, r = B.bisect_widest box in
-      B.hull (go (depth - 1) l) (go (depth - 1) r)
-  in
-  go splits box
-
-(* ----- batched entry points -----
-
-   Only the symbolic kernel has a genuinely blocked batch path; the
-   other domains fall back to mapping the scalar transformer, so every
-   domain satisfies the same contract: the result is bit-for-bit the
-   scalar map. *)
-
+(* Every entry point is a batch: [Symbolic] runs its lanes through one
+   kernel call, the other domains map their only transformer.  The
+   single-box forms are batches of one. *)
 let propagate_batch domain net boxes =
   match domain with
+  | Interval -> Array.map (Interval_prop.propagate net) boxes
   | Symbolic -> Symbolic_prop.propagate_batch net boxes
-  | Interval | Affine -> Array.map (propagate domain net) boxes
+  | Affine -> Array.map (Affine_prop.propagate net) boxes
 
+let propagate domain net box = (propagate_batch domain net [| box |]).(0)
+
+(* The [2^depth] boxes of [depth] rounds of widest-dimension bisection,
+   left halves first. *)
+let bisection_leaves depth box =
+  let rec go depth box acc =
+    if depth = 0 then box :: acc
+    else
+      let l, r = B.bisect_widest box in
+      go (depth - 1) l (go (depth - 1) r acc)
+  in
+  go depth box []
+
+(* Expand every box into its bisection leaves, propagate all of them as
+   one batch, then rebuild each box's hull tree in the order of the
+   bisection recursion: left subtree hulled with right subtree, level by
+   level. *)
 let propagate_split_batch domain ~splits net boxes =
   if splits < 0 then
     invalid_arg "Transformer.propagate_split_batch: negative splits";
   if splits = 0 then propagate_batch domain net boxes
   else
-    match domain with
-    | Interval | Affine -> Array.map (propagate_split domain ~splits net) boxes
-    | Symbolic ->
-        (* Expand every box into its 2^splits bisection leaves (the same
-           widest-dimension recursion as [propagate_split], left leaves
-           first), batch all lanes through one kernel call, then rebuild
-           each box's hull tree in the scalar association order — hull is
-           a pure function of the leaf values, so the result matches the
-           scalar recursion bitwise. *)
-        let leaves_per = 1 lsl splits in
-        let k = Array.length boxes in
-        let lanes =
-          Array.concat
-            (Array.to_list
-               (Array.map
-                  (fun box ->
-                    let acc = ref [] in
-                    let rec expand depth box =
-                      if depth = 0 then acc := box :: !acc
-                      else
-                        let l, r = B.bisect_widest box in
-                        expand (depth - 1) l;
-                        expand (depth - 1) r
-                    in
-                    expand splits box;
-                    Array.of_list (List.rev !acc))
-                  boxes))
-        in
-        let outs = Symbolic_prop.propagate_batch net lanes in
-        Array.init k (fun b ->
-            let next = ref (b * leaves_per) in
-            let rec rebuild depth =
-              if depth = 0 then begin
-                let v = outs.(!next) in
-                incr next;
-                v
-              end
-              else
-                let l = rebuild (depth - 1) in
-                let r = rebuild (depth - 1) in
-                B.hull l r
-            in
-            rebuild splits)
+    let per_box = 1 lsl splits in
+    let outs =
+      propagate_batch domain net
+        (Array.of_list
+           (List.concat_map (bisection_leaves splits) (Array.to_list boxes)))
+    in
+    let rec hull_tree depth first =
+      if depth = 0 then outs.(first)
+      else
+        let half = 1 lsl (depth - 1) in
+        B.hull (hull_tree (depth - 1) first) (hull_tree (depth - 1) (first + half))
+    in
+    Array.mapi (fun b _ -> hull_tree splits (b * per_box)) boxes
+
+let propagate_split domain ~splits net box =
+  (propagate_split_batch domain ~splits net [| box |]).(0)
 
 let meet_all domains net box =
   match domains with

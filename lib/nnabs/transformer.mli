@@ -8,7 +8,8 @@ val domain_to_string : domain -> string
 
 val propagate :
   domain -> Nncs_nn.Network.t -> Nncs_interval.Box.t -> Nncs_interval.Box.t
-(** Sound box enclosure of the network image of the input box. *)
+(** Sound box enclosure of the network image of the input box:
+    [propagate_batch] on a batch of one. *)
 
 val propagate_split :
   domain ->
@@ -16,19 +17,21 @@ val propagate_split :
   Nncs_nn.Network.t ->
   Nncs_interval.Box.t ->
   Nncs_interval.Box.t
-(** Recursively bisect the input box along its widest dimension [splits]
-    times (2^splits sub-boxes), propagate each, and hull the results —
-    tighter, at exponential cost in [splits]. *)
+(** Bisect the input box along its widest dimension, recursively,
+    [splits] levels deep (2^splits sub-boxes), propagate each, and hull
+    the results — tighter, at exponential cost in [splits]:
+    [propagate_split_batch] on a batch of one. *)
 
 val propagate_batch :
   domain ->
   Nncs_nn.Network.t ->
   Nncs_interval.Box.t array ->
   Nncs_interval.Box.t array
-(** Batched [propagate]: bit-for-bit [Array.map (propagate domain net)].
-    The [Symbolic] domain runs the blocked multi-leaf kernel
-    ({!Symbolic_prop.propagate_batch}); the other domains map the scalar
-    transformer. *)
+(** [propagate] of every box.  The [Symbolic] domain runs all boxes as
+    the lanes of one kernel call ({!Symbolic_prop.propagate_batch});
+    the other domains map their transformer.  Lanes are independent: a
+    box's enclosure is the same bit for bit at any batch width and
+    position. *)
 
 val propagate_split_batch :
   domain ->
@@ -36,11 +39,10 @@ val propagate_split_batch :
   Nncs_nn.Network.t ->
   Nncs_interval.Box.t array ->
   Nncs_interval.Box.t array
-(** Batched [propagate_split]: bit-for-bit
-    [Array.map (propagate_split domain ~splits net)].  For [Symbolic]
-    all [k * 2^splits] bisection leaves go through one blocked kernel
-    call and each box's hull tree is rebuilt in the scalar association
-    order. *)
+(** [propagate_split] of every box: all [k * 2^splits] bisection leaves
+    go through one {!propagate_batch} call, and each box's hull tree is
+    rebuilt in the order of the bisection recursion.  Raises
+    [Invalid_argument] on negative [splits]. *)
 
 val meet_all : domain list -> Nncs_nn.Network.t -> Nncs_interval.Box.t -> Nncs_interval.Box.t
 (** Intersection of the enclosures from several domains (all sound, so

@@ -13,7 +13,7 @@
                   "cells":[cell...] | "partition":{"arcs":N,"headings":N,
                                                    "arc_indices":[N...]},
                   "domain":"interval"|"symbolic"|"affine",   [symbolic]
-                  "nn_splits":N,                             [0]
+                  "nn_splits":N,                      (0..8) [0]
                   "max_depth":N,                             [0]
                   "split_dims":[N...],    [paper dims via default config]
                   "split_take":N,         [absent: bisect all split_dims]
@@ -34,7 +34,10 @@
     v}
 
     Unknown fields are ignored, so lines from older clients that still
-    carry the retired ["scheduler"] field parse to the same job.
+    carry the retired ["scheduler"] field parse to the same job.  A job
+    with ["nn_splits"] outside [0..8] is answered with an [error] event:
+    every F# query of a job runs its 2^nn_splits sub-boxes in one kernel
+    call, which no deadline can interrupt.
 
     {b Events}: [accepted] (echoes the problem fingerprint), [progress]
     (cells done / total, only for jobs that actually run), [verdict]

@@ -1,7 +1,9 @@
 (* Batched multi-leaf F# propagation must be an invisible optimization
-   at every layer of the stack: the blocked kernel, the split wrapper,
-   the batched cache probe and the batched controller scorer are each
-   bit-for-bit their scalar counterparts, and the leaf scheduler's
+   at every layer of the stack: the one symbolic kernel reproduces a
+   frozen copy of the scalar kernel it replaced bit for bit, at any
+   batch width and lane position; the split wrapper matches the
+   recursive split; the cache probe and the controller scorer answer a
+   batch as they answer each query alone; and the leaf scheduler's
    lockstep batching (--batch-leaves) preserves verdicts, leaf sets and
    journal records byte-identically at any batch width and worker
    count — with per-leaf fault firewalls intact inside a batch. *)
@@ -54,7 +56,261 @@ let random_boxes rng ~k ~dim =
              let w = Rng.uniform rng 0.0 0.8 in
              (c -. w, c +. w))))
 
-(* ----- the blocked kernel vs the scalar propagator ----- *)
+(* ----- the reference: the scalar kernel, frozen -----
+
+   The single-box symbolic kernel as it stood before the scalar and
+   batched paths became one row-wise kernel, copied verbatim except
+   that planes are allocated per layer, counters and spans are left
+   out, and [zeroed] counts the rows that [zero_row] clears (so a test
+   can show it exercised that path).  The one kernel must reproduce it
+   bit for bit in every lane. *)
+module Ref = struct
+  module R = Nncs_interval.Rounding
+
+  let zeroed = ref 0
+  let ulp_unit = 0x1.0p-53
+
+  let accumulation_error n absacc =
+    2.0 *. float_of_int (n + 2) *. ulp_unit *. absacc
+
+  let input_magnitude box =
+    let m = ref 1.0 in
+    for k = 0 to B.dim box - 1 do
+      m := Float.max !m (I.mag (B.get box k))
+    done;
+    !m
+
+  type plane = { c : float array; k : float array; e : float array }
+
+  let plane n m =
+    { c = Array.make (n * m) 0.0; k = Array.make n 0.0; e = Array.make n 0.0 }
+
+  let eval_upper_row box p i m =
+    let off = i * m in
+    let acc = ref (R.add_up p.k.(i) p.e.(i)) in
+    (try
+       for kk = 0 to m - 1 do
+         let c = p.c.(off + kk) in
+         if not (Float.is_finite c) then begin
+           acc := Float.infinity;
+           raise Exit
+         end;
+         if c > 0.0 then acc := R.add_up !acc (R.mul_up c (I.hi (B.get box kk)))
+         else if c < 0.0 then
+           acc := R.add_up !acc (R.mul_up c (I.lo (B.get box kk)))
+       done
+     with Exit -> ());
+    if Float.is_nan !acc then Float.infinity else !acc
+
+  let eval_lower_row box p i m =
+    let off = i * m in
+    let acc = ref (R.sub_down p.k.(i) p.e.(i)) in
+    (try
+       for kk = 0 to m - 1 do
+         let c = p.c.(off + kk) in
+         if not (Float.is_finite c) then begin
+           acc := Float.neg_infinity;
+           raise Exit
+         end;
+         if c > 0.0 then acc := R.add_down !acc (R.mul_down c (I.lo (B.get box kk)))
+         else if c < 0.0 then
+           acc := R.add_down !acc (R.mul_down c (I.hi (B.get box kk)))
+       done
+     with Exit -> ());
+    if Float.is_nan !acc then Float.neg_infinity else !acc
+
+  let inverted_hull lo hi =
+    let d = R.sub_up lo hi in
+    I.inflate (I.make hi lo) d
+
+  let zero_row p i m =
+    incr zeroed;
+    Array.fill p.c (i * m) m 0.0;
+    p.k.(i) <- 0.0;
+    p.e.(i) <- 0.0
+
+  let affine_rows ~xmag w b m src_lo src_up dst_lo dst_up =
+    let n = Mat.rows w and cols = Mat.cols w in
+    for i = 0 to n - 1 do
+      let off = i * m in
+      Array.fill dst_lo.c off m 0.0;
+      Array.fill dst_up.c off m 0.0;
+      let bi = b.(i) in
+      let up_const = ref bi and lo_const = ref bi in
+      let up_abs = ref (Float.abs bi) and lo_abs = ref (Float.abs bi) in
+      let up_err = ref 0.0 and lo_err = ref 0.0 in
+      let nterms = ref 0 in
+      for j = 0 to cols - 1 do
+        let wij = Mat.get w i j in
+        if wij <> 0.0 then begin
+          incr nterms;
+          let su, sl = if wij > 0.0 then (src_up, src_lo) else (src_lo, src_up) in
+          let joff = j * m in
+          for kk = 0 to m - 1 do
+            let p = wij *. su.c.(joff + kk) in
+            dst_up.c.(off + kk) <- dst_up.c.(off + kk) +. p;
+            up_abs := !up_abs +. Float.abs p
+          done;
+          let pc = wij *. su.k.(j) in
+          up_const := !up_const +. pc;
+          up_abs := !up_abs +. Float.abs pc;
+          up_err := R.add_up !up_err (R.mul_up (Float.abs wij) su.e.(j));
+          for kk = 0 to m - 1 do
+            let p = wij *. sl.c.(joff + kk) in
+            dst_lo.c.(off + kk) <- dst_lo.c.(off + kk) +. p;
+            lo_abs := !lo_abs +. Float.abs p
+          done;
+          let pc = wij *. sl.k.(j) in
+          lo_const := !lo_const +. pc;
+          lo_abs := !lo_abs +. Float.abs pc;
+          lo_err := R.add_up !lo_err (R.mul_up (Float.abs wij) sl.e.(j))
+        end
+      done;
+      dst_up.k.(i) <- !up_const;
+      dst_lo.k.(i) <- !lo_const;
+      if !nterms = 0 then begin
+        dst_up.e.(i) <- 0.0;
+        dst_lo.e.(i) <- 0.0
+      end
+      else begin
+        let nops = (!nterms * (m + 1)) + 1 in
+        dst_up.e.(i) <- R.add_up !up_err (accumulation_error nops (!up_abs *. xmag));
+        dst_lo.e.(i) <- R.add_up !lo_err (accumulation_error nops (!lo_abs *. xmag))
+      end
+    done
+
+  let chord_slope l u =
+    I.div (I.of_float u) (I.sub (I.of_float u) (I.of_float l))
+
+  let scale_row ~xmag p i m lam bias =
+    let off = i * m in
+    let absacc = ref (Float.abs bias) in
+    for kk = 0 to m - 1 do
+      let pr = lam *. p.c.(off + kk) in
+      p.c.(off + kk) <- pr;
+      absacc := !absacc +. Float.abs pr
+    done;
+    let pc = lam *. p.k.(i) in
+    p.k.(i) <- bias +. pc;
+    absacc := !absacc +. Float.abs pc;
+    let err = R.add_up 0.0 (R.mul_up (Float.abs lam) p.e.(i)) in
+    p.e.(i) <- R.add_up err (accumulation_error (m + 2) (!absacc *. xmag))
+
+  let relu_rows ~xmag box p_lo p_up n m =
+    for i = 0 to n - 1 do
+      let l_lo = eval_lower_row box p_lo i m
+      and u_up = eval_upper_row box p_up i m in
+      if l_lo >= 0.0 then ()
+      else if u_up <= 0.0 then begin
+        zero_row p_lo i m;
+        zero_row p_up i m
+      end
+      else begin
+        let l_up = eval_lower_row box p_up i m in
+        if l_up >= 0.0 then ()
+        else begin
+          let lam_iv = chord_slope l_up u_up in
+          let lam = I.mid lam_iv in
+          scale_row ~xmag p_up i m lam (-.lam *. l_up);
+          let slope_slack = R.mul_up (I.width lam_iv) (R.sub_up u_up l_up) in
+          let bias_slack =
+            R.mul_up 4.0 (R.mul_up ulp_unit (Float.abs (lam *. l_up)))
+          in
+          p_up.e.(i) <- R.add_up p_up.e.(i) (R.add_up slope_slack bias_slack)
+        end;
+        let u_lo = eval_upper_row box p_lo i m in
+        if u_lo <= 0.0 then zero_row p_lo i m
+        else begin
+          let l = l_lo and u = u_lo in
+          let lam_iv = chord_slope l u in
+          let lam = I.mid lam_iv in
+          scale_row ~xmag p_lo i m lam 0.0;
+          let slope_slack =
+            R.mul_up (I.width lam_iv) (Float.max (Float.abs l) (Float.abs u))
+          in
+          p_lo.e.(i) <- R.add_up p_lo.e.(i) slope_slack
+        end
+      end
+    done
+
+  let propagate net box =
+    let xmag = input_magnitude box in
+    let m = B.dim box in
+    let lo = ref (plane m m) and up = ref (plane m m) in
+    for i = 0 to m - 1 do
+      !lo.c.((i * m) + i) <- 1.0;
+      !up.c.((i * m) + i) <- 1.0
+    done;
+    Array.iter
+      (fun l ->
+        let rows = Mat.rows l.Net.weights in
+        let nlo = plane rows m and nup = plane rows m in
+        affine_rows ~xmag l.Net.weights l.Net.biases m !lo !up nlo nup;
+        (match l.Net.activation with
+        | Act.Linear -> ()
+        | Act.Relu -> relu_rows ~xmag box nlo nup rows m);
+        lo := nlo;
+        up := nup)
+      net.Net.layers;
+    B.of_intervals
+      (Array.init (Array.length !lo.k) (fun i ->
+           let lo = eval_lower_row box !lo i m and hi = eval_upper_row box !up i m in
+           if lo <= hi then I.make lo hi else inverted_hull lo hi))
+end
+
+(* an ACAS-shaped network (5-48-48-48-5) whose hidden neurons are each
+   forced dead with probability [dead] by a large negative bias, so
+   their rows go through [zero_row] *)
+let acas_shaped_net ~seed ~dead =
+  let rng = Rng.create seed in
+  let net = random_net rng [ 5; 48; 48; 48; 5 ] in
+  Net.make ~input_dim:5
+    (Array.map
+       (fun l ->
+         match l.Net.activation with
+         | Act.Linear -> l
+         | Act.Relu ->
+             {
+               l with
+               Net.biases =
+                 Array.map
+                   (fun b -> if Rng.uniform rng 0.0 1.0 < dead then -1e3 else b)
+                   l.Net.biases;
+             })
+       net.Net.layers)
+
+(* point, thin and wide boxes, in turn *)
+let mixed_boxes rng ~k ~dim =
+  Array.init k (fun j ->
+      let w =
+        match j mod 3 with 0 -> 0.0 | 1 -> 1e-6 | _ -> Rng.uniform rng 0.1 1.0
+      in
+      B.of_bounds
+        (Array.init dim (fun _ ->
+             let c = Rng.uniform rng (-1.0) 1.0 in
+             (c -. w, c +. w))))
+
+let prop_kernel_matches_reference =
+  QCheck.Test.make ~count:30
+    ~name:"matches the frozen scalar kernel"
+    QCheck.(pair (int_range 0 100000) (float_range 0.0 0.5))
+    (fun (seed, dead) ->
+      let net = acas_shaped_net ~seed ~dead in
+      let boxes = mixed_boxes (Rng.create (seed + 1)) ~k:16 ~dim:5 in
+      Ref.zeroed := 0;
+      let expected = Array.map (Ref.propagate net) boxes in
+      let chunks k =
+        Array.concat
+          (List.init (16 / k) (fun c ->
+               Sym.propagate_batch net (Array.sub boxes (c * k) k)))
+      in
+      let rev a = Array.of_list (List.rev (Array.to_list a)) in
+      (dead < 0.1 || !Ref.zeroed > 0)
+      && List.for_all (fun k -> boxes_eq_bits expected (chunks k)) [ 1; 4; 16 ]
+      (* the same lanes at the opposite positions of one batch *)
+      && boxes_eq_bits expected (rev (Sym.propagate_batch net (rev boxes))))
+
+(* ----- lane independence: a batch of K vs K batches of one ----- *)
 
 let test_kernel_bitwise () =
   let rng = Rng.create 7 in
@@ -87,6 +343,16 @@ let test_kernel_edge_cases () =
     (fun () ->
       ignore (Sym.propagate_batch net [| B.of_point [| 0.0; 0.0; 0.0 |]; B.of_point [| 0.0 |] |]))
 
+(* the recursive split the batched expansion replaced: bisect the
+   widest dimension, recurse into both halves, hull left with right *)
+let rec ref_propagate_split d ~splits net box =
+  if splits = 0 then T.propagate d net box
+  else
+    let l, r = B.bisect_widest box in
+    B.hull
+      (ref_propagate_split d ~splits:(splits - 1) net l)
+      (ref_propagate_split d ~splits:(splits - 1) net r)
+
 let test_transformer_batch_all_domains () =
   let rng = Rng.create 13 in
   let net = random_net rng [ 3; 10; 10; 2 ] in
@@ -101,14 +367,19 @@ let test_transformer_batch_all_domains () =
            (T.propagate_batch d net boxes));
       List.iter
         (fun splits ->
+          let expected = Array.map (ref_propagate_split d ~splits net) boxes in
           check
-            (Printf.sprintf "%s propagate_split_batch splits=%d bitwise"
+            (Printf.sprintf "%s propagate_split splits=%d = recursion"
                (T.domain_to_string d) splits)
             true
-            (boxes_eq_bits
-               (Array.map (T.propagate_split d ~splits net) boxes)
-               (T.propagate_split_batch d ~splits net boxes)))
-        [ 0; 1; 2 ])
+            (boxes_eq_bits expected
+               (Array.map (T.propagate_split d ~splits net) boxes));
+          check
+            (Printf.sprintf "%s propagate_split_batch splits=%d = recursion"
+               (T.domain_to_string d) splits)
+            true
+            (boxes_eq_bits expected (T.propagate_split_batch d ~splits net boxes)))
+        [ 0; 1; 2; 3 ])
     [ T.Interval; T.Symbolic; T.Affine ]
 
 (* ----- the batched cache probe ----- *)
@@ -442,6 +713,7 @@ let () =
           Alcotest.test_case "edge cases" `Quick test_kernel_edge_cases;
           Alcotest.test_case "all domains and splits" `Quick
             test_transformer_batch_all_domains;
+          QCheck_alcotest.to_alcotest prop_kernel_matches_reference;
         ] );
       ( "cache",
         [ Alcotest.test_case "batched probe" `Quick test_cache_batch ] );

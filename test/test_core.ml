@@ -45,13 +45,13 @@ let homing_network () =
   in
   Net.make ~input_dim:1 [| output |]
 
-let homing_controller ?(domain = Nncs_nnabs.Transformer.Interval) () =
+let homing_controller ?(domain = Nncs_nnabs.Transformer.Interval) ?nn_splits () =
   Controller.make ~period:0.5 ~commands:homing_commands
     ~networks:[| homing_network () |]
     ~select:(fun _ -> 0)
     ~pre:Controller.identity_pre ~pre_abs:Controller.identity_pre_abs
     ~post:Controller.argmin_post ~post_abs:Controller.argmin_post_abs ~domain
-    ()
+    ?nn_splits ()
 
 let homing_plant = Nncs_ode.Ode.make ~dim:1 ~input_dim:1 [| E.input 0 |]
 
@@ -208,6 +208,14 @@ let test_controller_abstract () =
   (* box straddling 1: both *)
   let both = Controller.abstract_step c ~box:(B.of_bounds [| (0.5, 1.5) |]) ~prev_cmd:0 in
   Alcotest.(check (list int)) "straddle" [ 0; 1 ] (List.sort compare both)
+
+(* one F# query runs its 2^nn_splits sub-boxes in a single call *)
+let test_controller_nn_splits_bound () =
+  Alcotest.(check int) "8 accepted" 8
+    (homing_controller ~nn_splits:8 ()).Controller.nn_splits;
+  Alcotest.check_raises "9 rejected"
+    (Invalid_argument "Controller.make: nn_splits 9 above 8") (fun () ->
+      ignore (homing_controller ~nn_splits:9 ()))
 
 let test_argminmax_post_non_finite () =
   (* a NaN makes every comparison false: before the finiteness guard the
@@ -561,6 +569,8 @@ let () =
           Alcotest.test_case "argmin post#" `Quick test_argmin_post_abs;
           Alcotest.test_case "non-finite scores raise" `Quick
             test_argminmax_post_non_finite;
+          Alcotest.test_case "nn_splits bounded" `Quick
+            test_controller_nn_splits_bound;
         ] );
       ( "reach",
         [

@@ -223,7 +223,7 @@ let test_event_roundtrip () =
 
 (* ----- the served pipeline on the homing loop of test_verify ----- *)
 
-let homing_system () =
+let homing_system ?nn_splits () =
   let commands = Command.make [| [| -1.0 |]; [| -0.5 |] |] in
   let network =
     Net.make ~input_dim:1
@@ -239,7 +239,8 @@ let homing_system () =
     Controller.make ~period:0.5 ~commands ~networks:[| network |]
       ~select:(fun _ -> 0)
       ~pre:Controller.identity_pre ~pre_abs:Controller.identity_pre_abs
-      ~post:Controller.argmin_post ~post_abs:Controller.argmin_post_abs ()
+      ~post:Controller.argmin_post ~post_abs:Controller.argmin_post_abs
+      ?nn_splits ()
   in
   System.make ~plant:(Nncs_ode.Ode.make ~dim:1 ~input_dim:1 [| E.input 0 |])
     ~controller
@@ -781,7 +782,7 @@ let run_session ?(dispatchers = 2) ?max_queue ?max_line_bytes ?backreach lines
                 ~default:Server.default_config.Server.max_line_bytes;
             backreach;
           }
-          ~make_system:(fun ~domain:_ ~nn_splits:_ -> homing_system ())
+          ~make_system:(fun ~domain:_ ~nn_splits -> homing_system ~nn_splits ())
           ~make_cells:(fun ~arcs ~headings:_ ~arc_indices:_ ->
             homing_cells arcs)
       in
@@ -843,6 +844,33 @@ let test_session_loop () =
   check "eof ends the session" true (outcome = `Eof);
   check "eof session still says bye" true
     (List.exists (function P.Bye -> true | _ -> false) events)
+
+(* regression: "nn_splits" reaches Controller.make, and each F# query
+   runs its 2^nn_splits sub-boxes in one call that no deadline
+   interrupts, so an unbounded value wedged a dispatcher; the bound
+   turns it into one error event *)
+let test_session_nn_splits_bounded () =
+  let _, events =
+    run_session ~dispatchers:1
+      [
+        {|{"t":"job","id":"wide","partition":{"arcs":2,"headings":1},"nn_splits":40}|};
+        {|{"t":"job","id":"next","partition":{"arcs":2,"headings":1}}|};
+        {|{"t":"shutdown"}|};
+      ]
+  in
+  let about_wide =
+    List.filter
+      (function
+        | P.Accepted { id; _ } | P.Progress { id; _ } | P.Verdict { id; _ }
+        | P.Cancelled { id; _ } | P.Job_error { id; _ } -> id = "wide"
+        | _ -> false)
+      events
+  in
+  (match about_wide with
+  | [ P.Job_error _ ] -> ()
+  | _ -> Alcotest.fail "nn_splits 40 must yield exactly one error event");
+  check "the next job is answered" true
+    (List.exists (fun v -> v.vid = "next") (List.filter_map verdict_payload events))
 
 let session_server () =
   Server.create
@@ -1218,5 +1246,7 @@ let () =
             test_session_lookup_fast_path;
           Alcotest.test_case "lookup without a table" `Quick
             test_session_lookup_unavailable;
+          Alcotest.test_case "nn_splits bounded" `Quick
+            test_session_nn_splits_bounded;
         ] );
     ]
