@@ -1,20 +1,17 @@
 (* nncs_lint — the repo's soundness & concurrency static analysis.
 
    Usage:
-     nncs_lint [PATHS...]                     lint (default: lib bin)
-     nncs_lint --baseline lint_baseline.json  warn on baselined findings,
-                                              fail on new P1 findings
-     nncs_lint --update-baseline              rewrite the baseline from
-                                              the current findings
-     nncs_lint --prune-stale                  drop stale baseline budget
-                                              (deleted files, fixed sites)
-     nncs_lint --json report.jsonl            machine-readable report
-                                              (findings + per-file timing)
-     nncs_lint --workers N                    lint on N domains
-     nncs_lint --bench-out BENCH_lint.json    runtime/finding-count record
+     nncs_lint [PATHS...]              lint (default: lib bin)
+     nncs_lint --json report.jsonl     also write one JSON line per
+                                       finding, then a summary line
+     nncs_lint --quiet                 only print the summary
 
-   Exit codes: 0 clean / only baselined or P2 findings; 1 new P1
-   findings (with --strict: any new finding); 2 usage or I/O error.
+   A finding is accepted only in the source, by an attribute that gives
+   its reason ([@lint.allow "rule reason"], [@lint.fp_exact "reason"],
+   [@@lint.guarded_by "lock"]).
+
+   Exit codes: 0 no findings; 1 any finding, P1 or P2; 2 usage or I/O
+   error.
 
    The linter typechecks every file against the cmis under _build, so
    run `dune build` before linting a fresh checkout. *)
@@ -22,39 +19,17 @@
 module L = Nncs_lint
 module Json = Nncs_obs.Json
 
-let usage = "nncs_lint [options] [paths]  (default paths: lib bin)"
+let usage = "nncs_lint [--json FILE] [--quiet] [paths]  (default paths: lib bin)"
 
 let () =
-  let baseline_path = ref "" in
-  let update_baseline = ref false in
-  let prune_stale = ref false in
   let json_path = ref "" in
-  let bench_path = ref "" in
-  let workers = ref (min 8 (Domain.recommended_domain_count ())) in
-  let strict = ref false in
   let quiet = ref false in
   let paths = ref [] in
   let spec =
     [
-      ( "--baseline",
-        Arg.Set_string baseline_path,
-        "FILE compare findings against this baseline" );
-      ( "--update-baseline",
-        Arg.Set update_baseline,
-        " rewrite the baseline file from the current findings" );
-      ( "--prune-stale",
-        Arg.Set prune_stale,
-        " rewrite the baseline with stale budget removed (needs --baseline)" );
       ( "--json",
         Arg.Set_string json_path,
-        "FILE write a JSONL report (findings + per-file wall-clock)" );
-      ( "--bench-out",
-        Arg.Set_string bench_path,
-        "FILE write a BENCH_lint.json runtime record" );
-      ( "--workers",
-        Arg.Set_int workers,
-        "N lint files on N domains (default: min(8, host cores))" );
-      ("--strict", Arg.Set strict, " fail on new P2 findings too");
+        "FILE write a JSONL report (findings + summary)" );
       ("--quiet", Arg.Set quiet, " only print the summary");
     ]
   in
@@ -69,160 +44,35 @@ let () =
       end)
     roots;
   let t0 = Nncs_obs.Clock.monotonic_s () in
-  let run = L.Driver.run ~workers:(max 1 !workers) roots in
+  let run = L.Driver.run roots in
   let wall_s = Nncs_obs.Clock.monotonic_s () -. t0 in
   let findings = run.L.Driver.findings in
-  let previous =
-    if !baseline_path <> "" && Sys.file_exists !baseline_path then
-      try L.Baseline.load !baseline_path
-      with e ->
-        Printf.eprintf "nncs_lint: cannot read baseline %s: %s\n"
-          !baseline_path (Printexc.to_string e);
-        exit 2
-    else []
+  let count sev =
+    List.length
+      (List.filter (fun f -> L.Finding.severity f.L.Finding.rule = sev) findings)
   in
-  if !update_baseline then begin
-    let path =
-      if !baseline_path = "" then "lint_baseline.json" else !baseline_path
-    in
-    let entries = L.Baseline.of_findings ~previous findings in
-    L.Baseline.save path entries;
-    Printf.printf "nncs_lint: wrote %d baseline entries (%d findings) to %s\n"
-      (List.length entries) (List.length findings) path;
-    exit 0
-  end;
-  let classified, stale = L.Baseline.apply previous findings in
-  let stale_kinds = L.Baseline.classify_stale stale in
-  let new_p1 = ref 0 and new_p2 = ref 0 and baselined = ref 0 in
-  List.iter
-    (fun (f, status) ->
-      match (status : L.Baseline.status) with
-      | L.Baseline.New ->
-          (match L.Finding.severity f.L.Finding.rule with
-          | L.Finding.P1 -> incr new_p1
-          | L.Finding.P2 -> incr new_p2);
-          if not !quiet then
-            Printf.printf "NEW  %s\n" (L.Finding.to_string f)
-      | L.Baseline.Baselined reason ->
-          incr baselined;
-          if not !quiet then
-            Printf.printf "base %s\n       baseline: %s\n"
-              (L.Finding.to_string f)
-              (if reason = "" then "(no reason recorded)" else reason))
-    classified;
+  let p1 = count L.Finding.P1 and p2 = count L.Finding.P2 in
+  let files = List.length run.L.Driver.files in
   if not !quiet then
-    List.iter
-      (fun ((e : L.Baseline.entry), kind) ->
-        match (kind : L.Baseline.stale_kind) with
-        | L.Baseline.Missing_file ->
-            Printf.printf
-              "stale baseline entry (file `%s` was deleted or renamed, \
-               remove the entry or run --prune-stale): %s x%d\n"
-              (L.Baseline.file_of_key e.key)
-              e.key e.count
-        | L.Baseline.Unmatched ->
-            Printf.printf
-              "stale baseline entry (no longer found, remove it or run \
-               --prune-stale): %s x%d\n"
-              e.key e.count)
-      stale_kinds;
-  if !prune_stale then begin
-    if !baseline_path = "" then begin
-      Printf.eprintf "nncs_lint: --prune-stale needs --baseline FILE\n";
-      exit 2
-    end;
-    let pruned = L.Baseline.prune previous stale in
-    L.Baseline.save !baseline_path pruned;
-    Printf.printf "nncs_lint: pruned %d stale entries from %s (%d kept)\n"
-      (List.length previous - List.length pruned)
-      !baseline_path (List.length pruned)
-  end;
-  let family_counts =
-    List.fold_left
-      (fun acc (f, _) ->
-        let fam = L.Finding.family f.L.Finding.rule in
-        let cur = try List.assoc fam acc with Not_found -> 0 in
-        (fam, cur + 1) :: List.remove_assoc fam acc)
-      [] classified
-    |> List.sort compare
-  in
-  if !json_path <> "" then begin
-    let oc = open_out !json_path in
-    Fun.protect
-      ~finally:(fun () -> close_out oc)
-      (fun () ->
-        List.iter
-          (fun (path, w) ->
-            output_string oc
-              (Json.to_string
-                 (Json.Obj
-                    [
-                      ("t", Json.Str "file");
-                      ("path", Json.Str path);
-                      ("wall_s", Json.Num w);
-                    ]));
-            output_char oc '\n')
-          run.L.Driver.per_file;
-        List.iter
-          (fun (f, status) ->
-            let s =
-              match (status : L.Baseline.status) with
-              | L.Baseline.New -> "new"
-              | L.Baseline.Baselined _ -> "baselined"
-            in
-            output_string oc (Json.to_string (L.Finding.to_json ~status:s f));
-            output_char oc '\n')
-          classified;
-        let summary =
-          Json.Obj
-            [
-              ("t", Json.Str "summary");
-              ("tool", Json.Str "nncs_lint");
-              ("new_p1", Json.Num (float_of_int !new_p1));
-              ("new_p2", Json.Num (float_of_int !new_p2));
-              ("baselined", Json.Num (float_of_int !baselined));
-              ("stale", Json.Num (float_of_int (List.length stale)));
-              ("total", Json.Num (float_of_int (List.length classified)));
-              ("files", Json.Num (float_of_int (List.length run.L.Driver.per_file)));
-              ("wall_s", Json.Num wall_s);
-              ("workers", Json.Num (float_of_int (max 1 !workers)));
-            ]
+    List.iter (fun f -> print_endline (L.Finding.to_string f)) findings;
+  if !json_path <> "" then
+    Out_channel.with_open_text !json_path (fun oc ->
+        let line j =
+          output_string oc (Json.to_string j);
+          output_char oc '\n'
         in
-        output_string oc (Json.to_string summary);
-        output_char oc '\n')
-  end;
-  if !bench_path <> "" then begin
-    let oc = open_out !bench_path in
-    Fun.protect
-      ~finally:(fun () -> close_out oc)
-      (fun () ->
-        let j =
-          Json.Obj
-            [
-              ("bench", Json.Str "lint");
-              ("tool", Json.Str "nncs_lint");
-              ( "host_cores",
-                Json.Num (float_of_int (Domain.recommended_domain_count ())) );
-              ("workers", Json.Num (float_of_int (max 1 !workers)));
-              ("files", Json.Num (float_of_int (List.length run.L.Driver.per_file)));
-              ("wall_s", Json.Num wall_s);
-              ("findings", Json.Num (float_of_int (List.length classified)));
-              ("new_p1", Json.Num (float_of_int !new_p1));
-              ("new_p2", Json.Num (float_of_int !new_p2));
-              ( "families",
-                Json.Obj
-                  (List.map
-                     (fun (fam, n) -> (fam, Json.Num (float_of_int n)))
-                     family_counts) );
-            ]
-        in
-        output_string oc (Json.to_string j);
-        output_char oc '\n')
-  end;
-  Printf.printf
-    "nncs_lint: %d findings (%d new P1, %d new P2, %d baselined, %d stale \
-     baseline entries) in %.2fs over %d files\n"
-    (List.length classified) !new_p1 !new_p2 !baselined (List.length stale)
-    wall_s
-    (List.length run.L.Driver.per_file);
-  if !new_p1 > 0 || (!strict && !new_p2 > 0) then exit 1
+        List.iter (fun f -> line (L.Finding.to_json f)) findings;
+        line
+          (Json.Obj
+             [
+               ("t", Json.Str "summary");
+               ("tool", Json.Str "nncs_lint");
+               ("p1", Json.Num (float_of_int p1));
+               ("p2", Json.Num (float_of_int p2));
+               ("total", Json.Num (float_of_int (List.length findings)));
+               ("files", Json.Num (float_of_int files));
+               ("wall_s", Json.Num wall_s);
+             ]));
+  Printf.printf "nncs_lint: %d findings (%d P1, %d P2) in %.2fs over %d files\n"
+    (List.length findings) p1 p2 wall_s files;
+  if findings <> [] then exit 1

@@ -1,3 +1,7 @@
+[@@@lint.allow
+  "r1 affine forms carry rounding error in their own error symbol; each \
+   operation widens it by the computed ulp bounds"]
+
 module I = Nncs_interval.Interval
 module R = Nncs_interval.Rounding
 

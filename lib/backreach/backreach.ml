@@ -178,14 +178,10 @@ let fingerprint config sys =
   addfl sys.System.controller.Controller.period;
   let r = config.reach in
   addf "flow:%d:%d:%s;" r.Reach.integration_steps r.Reach.taylor_order
-    (match r.Reach.scheme with
-    | Nncs_ode.Simulate.Direct -> "direct"
-    | Nncs_ode.Simulate.Lohner -> "lohner");
+    (Nncs_ode.Simulate.scheme_to_string r.Reach.scheme);
   addf "nn:%s:%d;"
-    (match sys.System.controller.Controller.domain with
-    | Nncs_nnabs.Transformer.Interval -> "interval"
-    | Nncs_nnabs.Transformer.Symbolic -> "symbolic"
-    | Nncs_nnabs.Transformer.Affine -> "affine")
+    (Nncs_nnabs.Transformer.domain_to_string
+       sys.System.controller.Controller.domain)
     sys.System.controller.Controller.nn_splits;
   addf "escape:%b;" config.escape_unsafe;
   addf "erroneous:%s;target:%s;" sys.System.erroneous.Spec.name

@@ -1,3 +1,7 @@
+[@@@lint.allow
+  "r1 concrete simulation is the falsification/test oracle, not an \
+   enclosure; it deliberately runs plain float math"]
+
 type termination = Terminated of float | Hit_error of float | Horizon_end
 
 type trace = {

@@ -42,6 +42,11 @@ val make :
     call, since budgets and deadlines are only checked between control
     steps. *)
 
+val domain_tag : Nncs_nnabs.Transformer.domain -> int
+(** A distinct small integer per abstraction domain ([Interval] 0,
+    [Symbolic] 1, [Affine] 2): part of the abstraction cache's key, and
+    the order in which the batched scheduler groups queries. *)
+
 val concrete_step : t -> state:float array -> prev_cmd:int -> int
 (** One controller execution: the command index for the next period. *)
 

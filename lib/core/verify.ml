@@ -269,14 +269,16 @@ let compare_tasks a b =
   | c -> c
 
 module Frontier = struct
+  (* The bucket array grows with the deepest task pushed, never with the
+     configured [max_depth]: a job may ask for any depth, and the
+     allocation must stay proportional to the refinement it reaches. *)
   type t = {
     mutex : Mutex.t;
-    buckets : task list array;  (* index = depth *)
+    mutable buckets : task list array;  (* index = depth *)
     mutable size : int;
   }
 
-  let create depths =
-    { mutex = Mutex.create (); buckets = Array.make (max 1 depths) []; size = 0 }
+  let create () = { mutex = Mutex.create (); buckets = [| [] |]; size = 0 }
 
   let with_lock f fn =
     Mutex.lock f.mutex;
@@ -284,7 +286,11 @@ module Frontier = struct
 
   let push f task =
     with_lock f (fun () ->
-        let d = min task.t_depth (Array.length f.buckets - 1) in
+        let d = task.t_depth in
+        let n = Array.length f.buckets in
+        if d >= n then
+          f.buckets <-
+            Array.init (d + 1) (fun i -> if i < n then f.buckets.(i) else []);
         f.buckets.(d) <- task :: f.buckets.(d);
         f.size <- f.size + 1)
 
@@ -354,11 +360,6 @@ let batched_abstract ctrl ~box ~prev_cmd =
   in
   Controller.commands_of_scores ctrl y
 
-let domain_ord = function
-  | Nncs_nnabs.Transformer.Interval -> 0
-  | Nncs_nnabs.Transformer.Symbolic -> 1
-  | Nncs_nnabs.Transformer.Affine -> 2
-
 (* Run [bodies] as lockstep fibers; returns each body's result.  A body
    must either return or park at [Fsharp_scores] — any exception it does
    not absorb propagates out of the driver (fatal worker-death
@@ -404,7 +405,10 @@ let run_lockstep ~cache (bodies : (unit -> 'a) array) : 'a option array =
         in
         List.iter
           (fun ((_, q) as iq) ->
-            let key = (domain_ord q.q_ctrl.Controller.domain, q.q_ctrl.Controller.nn_splits) in
+            let key =
+              ( Controller.domain_tag q.q_ctrl.Controller.domain,
+                q.q_ctrl.Controller.nn_splits )
+            in
             let tl = try Hashtbl.find groups key with Not_found -> [] in
             Hashtbl.replace groups key (iq :: tl))
           pending;
@@ -486,7 +490,7 @@ let verify_partition ?cancel ?(config = default_config) ?progress ?on_cell
      recovery cannot push [progress] past [total] *)
   let done_count = Atomic.make (total - List.length pending) in
   let factor = float_of_int (1 lsl strategy_arity config.strategy) in
-  let frontier = Frontier.create (config.max_depth + 1) in
+  let frontier = Frontier.create () in
   (* one budget per cell, shared by all of its leaves across domains
      (Budget counters are atomic; the deadline is an absolute stamp) —
      created lazily so the wall clock starts at the cell's first leaf *)
@@ -894,15 +898,11 @@ let fingerprint ?(config = default_config) sys cells =
   let r = config.reach in
   addf "reach:%d:%d:%d:%s:%b;" r.Reach.integration_steps r.Reach.taylor_order
     r.Reach.gamma
-    (match r.Reach.scheme with
-    | Nncs_ode.Simulate.Direct -> "direct"
-    | Nncs_ode.Simulate.Lohner -> "lohner")
+    (Nncs_ode.Simulate.scheme_to_string r.Reach.scheme)
     r.Reach.early_abort;
   addf "nn:%s:%d;"
-    (match sys.System.controller.Controller.domain with
-    | Nncs_nnabs.Transformer.Interval -> "interval"
-    | Nncs_nnabs.Transformer.Symbolic -> "symbolic"
-    | Nncs_nnabs.Transformer.Affine -> "affine")
+    (Nncs_nnabs.Transformer.domain_to_string
+       sys.System.controller.Controller.domain)
     sys.System.controller.Controller.nn_splits;
   (match config.strategy with
   | All_dims dims ->

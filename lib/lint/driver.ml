@@ -1,36 +1,27 @@
 (* File discovery + the run pipeline.
 
-   v2 pipeline per file: read source (plain IO, parallel-safe) ->
-   typecheck + rules walk (serialized inside Typing.with_typer:
-   compiler-libs is not domain-safe) -> per-file findings and
-   cross-file facts.  After all files: [finalize] matches guarded
-   accesses to foreign globals against every file's
-   [@@lint.guarded_by] declarations and folds the per-file
-   lock-acquisition edges into a global lock-order graph, reporting
-   each cycle (deadlock risk) once.
-
-   The Domain-worker mode ([run ~workers]) overlaps file IO and report
-   assembly with the serialized typer section and records per-file
-   wall-clock; with the typer dominating, the win is bounded (Amdahl) —
-   the per-file timings in the JSONL report make that visible rather
-   than hiding it.
+   Per file: read the source, then typecheck it and walk the rules over
+   the typedtree, giving per-file findings and cross-file facts.  Files
+   run in order on the calling domain (Typing says why).  After all
+   files: [finalize] matches guarded accesses to foreign globals against
+   every file's [@@lint.guarded_by] declarations and folds the per-file
+   lock-acquisition edges into a global lock-order graph, reporting each
+   cycle (deadlock risk) once.
 
    A file that fails to parse or typecheck yields a P1 finding rather
    than being skipped silently (type-failure usually means the tree was
    not built first). *)
 
 type file_entry = {
-  fe_path : string;
   fe_findings : Finding.t list;
   fe_edges : Rules.edge list;
   fe_guards : Rules.guard_decl list;
   fe_ext : Rules.ext_access list;
-  fe_wall_s : float;
 }
 
 type report = {
+  files : string list;  (* every .ml linted, in the order linted *)
   findings : Finding.t list;
-  per_file : (string * float) list;  (* path, lint wall-clock seconds *)
 }
 
 let failure_finding ~path (e : Typing.error) =
@@ -49,45 +40,28 @@ let failure_finding ~path (e : Typing.error) =
     message = Printf.sprintf "could not %s file: %s" what e.msg;
   }
 
-let process_source ~path source =
-  Typing.with_typer (fun () ->
-      match Typing.typecheck ~path source with
-      | Ok (tstr, info) ->
-          let unit_display = Rules.strip_mangle info.unit_name in
-          let r = Rules.check ~file:path ~unit_display tstr in
-          {
-            fe_path = path;
-            fe_findings = r.Rules.findings;
-            fe_edges = r.Rules.edges;
-            fe_guards = r.Rules.guards;
-            fe_ext = r.Rules.ext;
-            fe_wall_s = 0.;
-          }
-      | Error e ->
-          {
-            fe_path = path;
-            fe_findings = [ failure_finding ~path e ];
-            fe_edges = [];
-            fe_guards = [];
-            fe_ext = [];
-            fe_wall_s = 0.;
-          })
-
-(* ----- cross-file analysis ----- *)
-
-let io_error_entry ~path msg =
+let failure_entry ~path e =
   {
-    fe_path = path;
-    fe_findings =
-      [
-        failure_finding ~path
-          { Typing.kind = Typing.Parse_error; msg; line = 1 };
-      ];
+    fe_findings = [ failure_finding ~path e ];
     fe_edges = [];
     fe_guards = [];
     fe_ext = [];
-    fe_wall_s = 0.;
   }
+
+let process_source ~path source =
+  match Typing.typecheck ~path source with
+  | Ok (tstr, info) ->
+      let unit_display = Rules.strip_mangle info.unit_name in
+      let r = Rules.check ~file:path ~unit_display tstr in
+      {
+        fe_findings = r.Rules.findings;
+        fe_edges = r.Rules.edges;
+        fe_guards = r.Rules.guards;
+        fe_ext = r.Rules.ext;
+      }
+  | Error e -> failure_entry ~path e
+
+(* ----- cross-file analysis ----- *)
 
 (* Tarjan SCC over the lock graph; every SCC of size > 1, and every
    self-edge, is a lock-order cycle. *)
@@ -218,11 +192,7 @@ let cross_guard_findings entries =
       List.filter_map
         (fun (x : Rules.ext_access) ->
           match Hashtbl.find_opt guards x.Rules.x_canon with
-          | Some g
-            when (not (Rules.held_satisfies g x.Rules.x_held))
-                 && Policy.allowlisted ~file:x.Rules.x_file
-                      ~rule_id:"r5-guarded-by"
-                    = None ->
+          | Some g when not (Rules.held_satisfies g x.Rules.x_held) ->
               Some
                 {
                   Finding.rule = Finding.R5_guarded_by;
@@ -245,17 +215,10 @@ let cross_guard_findings entries =
     entries
 
 let finalize entries =
-  let per_file =
-    List.map (fun en -> (en.fe_path, en.fe_wall_s)) entries
-    |> List.sort compare
-  in
-  let findings =
-    List.concat_map (fun en -> en.fe_findings) entries
-    @ cross_guard_findings entries
-    @ cycle_findings entries
-    |> List.sort Finding.compare_loc
-  in
-  { findings; per_file }
+  List.concat_map (fun en -> en.fe_findings) entries
+  @ cross_guard_findings entries
+  @ cycle_findings entries
+  |> List.sort Finding.compare_loc
 
 (* ----- entry points ----- *)
 
@@ -292,53 +255,19 @@ let expand_paths paths =
     paths
 
 let process_file path =
-  let t0 = Nncs_obs.Clock.monotonic_s () in
-  let entry =
-    match read_file path with
-    | source -> process_source ~path source
-    | exception Sys_error msg -> io_error_entry ~path msg
-  in
-  { entry with fe_wall_s = Nncs_obs.Clock.monotonic_s () -. t0 }
+  match read_file path with
+  | source -> process_source ~path source
+  | exception Sys_error msg ->
+      failure_entry ~path { Typing.kind = Typing.Parse_error; msg; line = 1 }
 
-let run ?(workers = 1) paths =
-  let files = Array.of_list (expand_paths paths) in
-  let n = Array.length files in
-  let results = Array.make n None in
-  let next = Atomic.make 0 in
-  (* ticket frontier: each worker claims the next unprocessed index;
-     [results] cells are disjoint per ticket, so no lock is needed, and
-     the Domain.join below publishes them to this domain *)
-  let worker () =
-    let rec loop () =
-      let i = Atomic.fetch_and_add next 1 in
-      if i < n then begin
-        results.(i) <- Some (process_file files.(i));
-        loop ()
-      end
-    in
-    loop ()
-  in
-  let w = max 1 (min workers (max 1 n)) in
-  if w = 1 then worker ()
-  else begin
-    let doms = List.init (w - 1) (fun _ -> Domain.spawn worker) in
-    worker ();
-    List.iter Domain.join doms
-  end;
-  finalize (Array.to_list results |> List.filter_map Fun.id)
+let run paths =
+  let files = expand_paths paths in
+  { files; findings = finalize (List.map process_file files) }
 
-(* single-source compatibility entry points (tests, tooling) *)
-
-let lint_source ~path source =
-  (finalize [ process_source ~path source ]).findings
+let lint_source ~path source = finalize [ process_source ~path source ]
 
 (* lint in-memory sources as one tree: cross-module guard checks and
    the lock-order graph span all of them (the test gate uses this to
    lint the copied lib/ + bin/ sources under their repo paths) *)
 let lint_sources pairs =
-  (finalize (List.map (fun (path, source) -> process_source ~path source) pairs))
-    .findings
-
-let lint_file path = (finalize [ process_file path ]).findings
-
-let lint_paths paths = (run ~workers:1 paths).findings
+  finalize (List.map (fun (path, source) -> process_source ~path source) pairs)

@@ -32,29 +32,11 @@ let rule_id = function
   | Parse_failure -> "parse-failure"
   | Type_failure -> "type-failure"
 
-let all_rule_ids =
-  [
-    "r1-bare-float";
-    "r2-float-compare";
-    "r3-top-mutable";
-    "r3-mutex-unsafe";
-    "r4-poly-compare";
-    "r5-guarded-by";
-    "r5-lock-order";
-    "r6-atomic-rmw";
-    "r6-atomic-publish";
-    "r6-faa-discard";
-    "r7-perform-under-lock";
-    "r7-dls-in-handler";
-    "parse-failure";
-    "type-failure";
-  ]
-
 (* Soundness (R1) and concurrency defects that corrupt state or deadlock
    (R3, R5, the atomic lost-update window, perform-under-lock) make
-   verdicts wrong or hang runs: P1, gating.  Comparison hazards (R2/R4)
-   and the advisory atomic/DLS protocols are usually latent: P2,
-   advisory unless --strict. *)
+   verdicts wrong or hang runs: P1.  Comparison hazards (R2/R4) and the
+   advisory atomic/DLS protocols are usually latent: P2.  Either fails
+   the run; the severity says which to read first. *)
 let severity = function
   | R1_bare_float | R3_top_mutable | R3_mutex_unsafe | R5_guarded_by
   | R5_lock_order | R6_atomic_rmw | R7_perform_under_lock | Parse_failure
@@ -66,17 +48,6 @@ let severity = function
 
 let severity_id = function P1 -> "P1" | P2 -> "P2"
 
-let family = function
-  | R1_bare_float -> "r1"
-  | R2_float_compare -> "r2"
-  | R3_top_mutable | R3_mutex_unsafe -> "r3"
-  | R4_poly_compare -> "r4"
-  | R5_guarded_by | R5_lock_order -> "r5"
-  | R6_atomic_rmw | R6_atomic_publish | R6_faa_discard -> "r6"
-  | R7_perform_under_lock | R7_dls_in_handler -> "r7"
-  | Parse_failure -> "parse-failure"
-  | Type_failure -> "type-failure"
-
 type t = {
   rule : rule;
   file : string;
@@ -86,12 +57,6 @@ type t = {
   detail : string;   (* the operator / identifier / binding flagged *)
   message : string;
 }
-
-(* The baseline key deliberately omits line/column so findings survive
-   unrelated edits above them; occurrences of the same (rule, file,
-   binding, detail) are budgeted by count instead. *)
-let key f =
-  String.concat "|" [ rule_id f.rule; f.file; f.binding; f.detail ]
 
 let compare_loc a b =
   Stdlib.compare
@@ -104,8 +69,8 @@ let to_string f =
     f.message
     (if f.binding = "" then "" else Printf.sprintf " (in `%s`)" f.binding)
 
-let to_json ?status f =
-  let base =
+let to_json f =
+  Nncs_obs.Json.Obj
     [
       ("t", Nncs_obs.Json.Str "finding");
       ("rule", Nncs_obs.Json.Str (rule_id f.rule));
@@ -116,12 +81,4 @@ let to_json ?status f =
       ("binding", Nncs_obs.Json.Str f.binding);
       ("detail", Nncs_obs.Json.Str f.detail);
       ("message", Nncs_obs.Json.Str f.message);
-      ("key", Nncs_obs.Json.Str (key f));
     ]
-  in
-  let extra =
-    match status with
-    | None -> []
-    | Some s -> [ ("status", Nncs_obs.Json.Str s) ]
-  in
-  Nncs_obs.Json.Obj (base @ extra)

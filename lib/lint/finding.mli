@@ -1,10 +1,5 @@
 (** A single static-analysis finding.
 
-    Findings are identified for baselining purposes by {!key}, which
-    deliberately excludes source positions: the tuple (rule, file,
-    enclosing binding, flagged detail) plus an occurrence count is
-    stable under unrelated edits, whereas line numbers are not.
-
     {2 Checked [\[@@lint.guarded_by\]] annotations}
 
     Since the typedtree rewrite the [\[@@lint.guarded_by "m"\]]
@@ -50,13 +45,8 @@ type rule =
 type severity = P1 | P2
 
 val rule_id : rule -> string
-val all_rule_ids : string list
 val severity : rule -> severity
 val severity_id : severity -> string
-
-(** the rule family ("r1".."r7", "parse-failure", "type-failure") a rule
-    belongs to, for per-family reporting *)
-val family : rule -> string
 
 type t = {
   rule : rule;
@@ -68,7 +58,6 @@ type t = {
   message : string;
 }
 
-val key : t -> string
 val compare_loc : t -> t -> int
 val to_string : t -> string
-val to_json : ?status:string -> t -> Nncs_obs.Json.t
+val to_json : t -> Nncs_obs.Json.t

@@ -1,17 +1,12 @@
 (* Repo policy for the lint rules: which directories are
-   soundness-critical, what counts as bare float arithmetic, which
-   modules hold abstract types, and the per-file allowlist.
+   soundness-critical, what counts as bare float arithmetic and which
+   modules hold abstract types.  Waivers live in the source, as the
+   attributes Suppress reads.
 
    Since the typedtree rewrite the identifier sets below are *resolved*
    paths (what Path.name prints after typechecking), not surface
    syntax: a file-local [sqrt] shadows the libm one in the typer itself,
-   so no shadowing heuristics are needed.
-
-   The allowlist is the coarse suppression tool: a whole (file, rule)
-   pair is waived with a recorded reason.  Prefer the finer-grained
-   [@lint.fp_exact]/[@lint.allow] attributes when only a few sites in a
-   file are intentional; prefer the baseline for findings that should
-   eventually be fixed. *)
+   so no shadowing heuristics are needed. *)
 
 (* R1 applies only where a bare rounding error can corrupt an
    enclosure.  lib/nn, lib/linalg, lib/acasxu are concrete-math
@@ -102,78 +97,6 @@ let safe_makers =
    paths normalize to defining units like Stdlib__Hashtbl). *)
 let mutable_type_heads =
   [ "ref"; "Hashtbl.t"; "Queue.t"; "Stack.t"; "Buffer.t"; "Bytes.t"; "array" ]
-
-(* ----- per-file allowlist ----- *)
-
-type allow_entry = {
-  path_suffix : string;  (* matched against the end of the file path *)
-  rules : string list;   (* rule ids or family prefixes ("r1") *)
-  reason : string;
-}
-
-let rule_matches pattern rule_id =
-  pattern = rule_id || String.starts_with ~prefix:(pattern ^ "-") rule_id
-
-(* The per-file allowlist.  Every entry must carry a reason that a
-   reviewer can check against the file's own comments. *)
-let allowlist : allow_entry list =
-  [
-    {
-      path_suffix = "lib/nnabs/symbolic_prop.ml";
-      rules = [ "r1" ];
-      reason =
-        "the symbolic transformer computes coefficients in float and \
-         accounts for its own rounding with dedicated error terms \
-         (accum_err / round_err), per DESIGN.md; routing every op \
-         through Rounding would double the cost for no soundness gain";
-    };
-    {
-      path_suffix = "lib/nnabs/affine_prop.ml";
-      rules = [ "r1" ];
-      reason =
-        "the affine transformer tracks the rounding error of its own \
-         coefficient arithmetic in noise symbols, like Symbolic_prop";
-    };
-    {
-      path_suffix = "lib/affine/affine_form.ml";
-      rules = [ "r1" ];
-      reason =
-        "affine forms carry rounding error in their own error symbol; \
-         each operation widens it by the computed ulp bounds";
-    };
-    {
-      path_suffix = "lib/nnabs/robustness.ml";
-      rules = [ "r1" ];
-      reason =
-        "robustness radii are diagnostics (search heuristics), not \
-         enclosure bounds";
-    };
-    {
-      path_suffix = "lib/core/partition.ml";
-      rules = [ "r1" ];
-      reason =
-        "partitioning only chooses where to cut the initial set; any \
-         float drift moves cell borders but every cell is still \
-         verified from its exact stored bounds";
-    };
-    {
-      path_suffix = "lib/core/concrete.ml";
-      rules = [ "r1" ];
-      reason =
-        "concrete simulation is the falsification/test oracle, not an \
-         enclosure; it deliberately runs plain float math";
-    };
-  ]
-
-let allowlisted ~file ~rule_id =
-  List.find_map
-    (fun e ->
-      if
-        String.ends_with ~suffix:e.path_suffix file
-        && List.exists (fun p -> rule_matches p rule_id) e.rules
-      then Some e.reason
-      else None)
-    allowlist
 
 let in_dirs dirs file =
   List.exists (fun d -> String.starts_with ~prefix:(d ^ "/") file) dirs

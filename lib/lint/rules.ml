@@ -23,10 +23,7 @@
    limit (DESIGN.md §15).  Cross-file facts (lock-order edges, guard
    declarations, accesses to foreign globals) are returned to the
    driver, which builds the global lock graph and checks cross-module
-   guarded accesses after all files are walked.
-
-   MUST run inside Typing.with_typer: reading types expands
-   abbreviations through compiler-libs' shared memo tables. *)
+   guarded accesses after all files are walked. *)
 
 open Typedtree
 
@@ -146,10 +143,7 @@ let loc_pos (loc : Location.t) =
 let report ?sup ctx rule loc detail message =
   let sup = Option.value sup ~default:ctx.sup in
   let id = Finding.rule_id rule in
-  if
-    (not (Suppress.allows sup id))
-    && Policy.allowlisted ~file:ctx.file ~rule_id:id = None
-  then
+  if not (Suppress.allows sup id) then
     let line, col = loc_pos loc in
     ctx.findings <-
       {

@@ -13,7 +13,11 @@
    - [@lint.allow "rule-id reason"] — generic escape hatch; the first
      token names a rule id or family prefix ("r4").  Scoped like any
      attribute: expression, binding ([@@...]) or rest-of-file
-     ([@@@...]). *)
+     ([@@@...]); a whole-file waiver is a [@@@lint.allow] on the file's
+     first line.
+
+   These attributes are the only way to accept a finding: each names
+   its reason next to the code it excuses. *)
 
 type t = { fp_exact : bool; allowed : string list }
 
@@ -59,7 +63,11 @@ let guarded_by attrs =
       if a.attr_name.txt = "lint.guarded_by" then payload_string a else None)
     attrs
 
+(* a rule id, or a family prefix ("r1" matches "r1-bare-float") *)
+let rule_matches pattern rule_id =
+  pattern = rule_id || String.starts_with ~prefix:(pattern ^ "-") rule_id
+
 let allows t rule_id =
   (t.fp_exact
   && (rule_id = "r1-bare-float" || rule_id = "r2-float-compare"))
-  || List.exists (fun p -> Policy.rule_matches p rule_id) t.allowed
+  || List.exists (fun p -> rule_matches p rule_id) t.allowed

@@ -22,18 +22,14 @@
 
    CONCURRENCY: compiler-libs is a thicket of global mutable state
    (Load_path, Env caches, type-variable levels, abbreviation memos) and
-   is NOT domain-safe.  Every entry point that touches it must run
-   inside [with_typer], which serializes on [typer_mutex].  The parallel
-   driver overlaps file IO and report assembly with the typer section;
-   the typecheck+walk itself is the serialized critical region. *)
+   is NOT domain-safe, and the rules walk reads types through the same
+   memo tables.  That is why [Driver.run] lints files in order on one
+   domain. *)
 
 type unit_info = { unit_name : string; opens : string list }
 
 type error_kind = Parse_error | Type_error
 type error = { kind : error_kind; msg : string; line : int }
-
-let typer_mutex = Mutex.create ()
-let with_typer f = Mutex.protect typer_mutex f
 
 (* ----- repo layout discovery ----- *)
 
@@ -65,11 +61,9 @@ type layout = {
 
 let layout : (layout, string) result option Atomic.t = Atomic.make None
 
-(* Initialize Load_path/Clflags once (under the typer lock).  Returns
-   the discovered layout, or an error message when no dune-project is in
-   sight.  The memo cell is an Atomic published with compare_and_set:
-   callers all hold [typer_mutex] today, but the cell must not rely on
-   that. *)
+(* Initialize Load_path/Clflags once.  Returns the discovered layout,
+   or an error message when no dune-project is in sight.  The memo cell
+   is an Atomic because R3 forbids a bare top-level ref under lib/. *)
 let init () =
   match Atomic.get layout with
   | Some (Ok l) -> Ok l
@@ -183,7 +177,7 @@ let unit_info_for l path =
               { unit_name = prefix ^ "__" ^ base; opens = [ prefix ] }
         | None -> { unit_name = base; opens = [] })
 
-(* ----- the guarded typecheck ----- *)
+(* ----- the typecheck ----- *)
 
 let error_of_exn kind e =
   match Location.error_of_exn e with
@@ -206,11 +200,7 @@ let error_of_exn kind e =
         line = 1;
       }
 
-(* Parse and typecheck [source] as if it were the file at [path].  MUST
-   be called with [typer_mutex] held (use [with_typer]); the caller's
-   typedtree walk must stay inside the same critical section, because
-   reading types can expand abbreviations through compiler-libs'
-   shared memo tables. *)
+(* Parse and typecheck [source] as if it were the file at [path]. *)
 let typecheck ~path source : (Typedtree.structure * unit_info, error) result =
   match init () with
   | Error msg -> Error { kind = Type_error; msg; line = 1 }

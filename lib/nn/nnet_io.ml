@@ -4,7 +4,29 @@ module Vec = Nncs_linalg.Vec
 let magic = "nncs-nnet"
 let version = 1
 
-let to_channel oc net =
+(* Verdicts are only as sound as the weights: a NaN or infinite one
+   makes every enclosure the network feeds NaN or unbounded, so the file
+   format carries finite numbers only, in both directions. *)
+let check_finite net =
+  Array.iteri
+    (fun k l ->
+      let w = l.Network.weights in
+      for i = 0 to Mat.rows w - 1 do
+        for j = 0 to Mat.cols w - 1 do
+          let x = Mat.get w i j in
+          if not (Float.is_finite x) then
+            invalid_arg
+              (Printf.sprintf "Nnet_io: layer %d weight (%d, %d) is %h" k i j x)
+        done
+      done;
+      Array.iteri
+        (fun i b ->
+          if not (Float.is_finite b) then
+            invalid_arg (Printf.sprintf "Nnet_io: layer %d bias %d is %h" k i b))
+        l.Network.biases)
+    net.Network.layers
+
+let write oc net =
   Printf.fprintf oc "// nncs network, %d parameters\n" (Network.num_parameters net);
   Printf.fprintf oc "%s %d\n" magic version;
   Printf.fprintf oc "%d %d\n" (Network.num_layers net) (Network.input_dim net);
@@ -31,11 +53,16 @@ let to_channel oc net =
       output_char oc '\n')
     net.Network.layers
 
+let to_channel oc net =
+  check_finite net;
+  write oc net
+
 let save net path =
+  check_finite net;
   let oc = open_out path in
   Fun.protect
     ~finally:(fun () -> close_out oc)
-    (fun () -> to_channel oc net)
+    (fun () -> write oc net)
 
 let fail fmt = Printf.ksprintf failwith fmt
 
@@ -50,8 +77,12 @@ let of_channel ic =
   in
   let words l = String.split_on_char ' ' l |> List.filter (fun s -> s <> "") in
   let parse_float s =
-    try float_of_string s
-    with Failure _ -> fail "nnet: line %d: bad float %S" !line_no s
+    let x =
+      try float_of_string s
+      with Failure _ -> fail "nnet: line %d: bad float %S" !line_no s
+    in
+    if Float.is_finite x then x
+    else fail "nnet: line %d: non-finite number %S" !line_no s
   in
   let parse_int s =
     try int_of_string s

@@ -10,13 +10,19 @@
     v}
 
     All numbers are written with full hex-float precision so that a
-    save/load round trip is bit-exact. *)
+    save/load round trip is bit-exact.  Every weight and bias must be
+    finite: NaN and infinities are refused both ways. *)
 
 val save : Network.t -> string -> unit
-(** [save net path]. *)
+(** [save net path].  Raises [Invalid_argument], before opening [path],
+    when a weight or bias is NaN or infinite. *)
 
 val load : string -> Network.t
-(** Raises [Failure] with a descriptive message on malformed input. *)
+(** Raises [Failure] with a descriptive message, including the line
+    number, on malformed input or a weight or bias that is not finite. *)
 
 val to_channel : out_channel -> Network.t -> unit
+(** As {!save}; the check runs before anything is written. *)
+
 val of_channel : in_channel -> Network.t
+(** As {!load}. *)

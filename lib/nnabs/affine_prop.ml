@@ -1,3 +1,7 @@
+[@@@lint.allow
+  "r1 the affine transformer tracks the rounding error of its own \
+   coefficient arithmetic in noise symbols, like Symbolic_prop"]
+
 module I = Nncs_interval.Interval
 module B = Nncs_interval.Box
 module R = Nncs_interval.Rounding

@@ -1,3 +1,7 @@
+[@@@lint.allow
+  "r1 robustness radii are diagnostics (search heuristics), not \
+   enclosure bounds"]
+
 module I = Nncs_interval.Interval
 module B = Nncs_interval.Box
 module Net = Nncs_nn.Network

@@ -1,3 +1,9 @@
+[@@@lint.allow
+  "r1 the symbolic transformer computes coefficients in float and \
+   accounts for its own rounding with dedicated error terms (up_err / \
+   lo_err, accumulation_error), per DESIGN.md; routing every op through \
+   Rounding would double the cost for no soundness gain"]
+
 module I = Nncs_interval.Interval
 module B = Nncs_interval.Box
 module R = Nncs_interval.Rounding

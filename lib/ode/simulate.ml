@@ -6,6 +6,13 @@ let m_substeps = Metrics.counter "ode.substeps"
 
 type scheme = Direct | Lohner
 
+let scheme_to_string = function Direct -> "direct" | Lohner -> "lohner"
+
+let scheme_of_string = function
+  | "direct" -> Direct
+  | "lohner" -> Lohner
+  | s -> invalid_arg (Printf.sprintf "Simulate.scheme_of_string: unknown %S" s)
+
 type result = { pieces : B.t array; range : B.t; endpoint : B.t }
 
 let simulate_direct sys ~t0 ~period ~steps ~order ~state ~inputs =
@@ -61,7 +68,7 @@ let simulate ?(scheme = Direct) sys ~t0 ~period ~steps ~order ~state ~inputs =
     ~attrs:
       [
         ("steps", Nncs_obs.Trace.Int steps);
-        ("scheme", Str (match scheme with Direct -> "direct" | Lohner -> "lohner"));
+        ("scheme", Str (scheme_to_string scheme));
       ]
     (fun () ->
       match scheme with

@@ -8,6 +8,14 @@ type scheme = Direct | Lohner
     costlier, but the error set is carried across the M sub-steps in a
     rotating frame, taming wrapping. *)
 
+val scheme_to_string : scheme -> string
+(** ["direct"] or ["lohner"]: the one spelling used by traces, the
+    serve protocol and problem fingerprints. *)
+
+val scheme_of_string : string -> scheme
+(** Inverse of {!scheme_to_string}; raises [Invalid_argument] on any
+    other name. *)
+
 type result = {
   pieces : Nncs_interval.Box.t array;
       (** [pieces.(i)] encloses the flow over the i-th sub-interval; the

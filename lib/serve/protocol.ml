@@ -104,6 +104,15 @@ let int_list_opt name j =
   | Some _ -> fail "field %S must be a list of integers" name
   | None -> None
 
+(* a field holding one of a fixed set of names; [of_string] raises
+   [Invalid_argument] on any other *)
+let name_field ~default ~names of_string name j =
+  let bad () = fail "field %S must be %s" name names in
+  match J.member name j with
+  | Some (J.Str s) -> ( try of_string s with Invalid_argument _ -> bad ())
+  | Some _ -> bad ()
+  | None -> default
+
 let num_int n = J.Num (float_of_int n)
 let int_list_json l = J.List (List.map num_int l)
 
@@ -134,11 +143,8 @@ let cells_of_json j =
 (* ----- the analysis configuration ----- *)
 
 let domain_of_json j =
-  match J.member "domain" j with
-  | Some (J.Str ("interval" | "symbolic" | "affine" as s)) ->
-      T.domain_of_string s
-  | Some _ -> fail "field \"domain\" must be interval | symbolic | affine"
-  | None -> T.Symbolic
+  name_field ~default:T.Symbolic ~names:"interval | symbolic | affine"
+    T.domain_of_string "domain" j
 
 let config_of_json j =
   let base = default_config in
@@ -151,11 +157,8 @@ let config_of_json j =
       taylor_order = int_field ~default:r.Reach.taylor_order "order" j;
       gamma = int_field ~default:r.Reach.gamma "gamma" j;
       scheme =
-        (match J.member "scheme" j with
-        | Some (J.Str "direct") -> Nncs_ode.Simulate.Direct
-        | Some (J.Str "lohner") -> Nncs_ode.Simulate.Lohner
-        | Some _ -> fail "field \"scheme\" must be direct | lohner"
-        | None -> r.Reach.scheme);
+        name_field ~default:r.Reach.scheme ~names:"direct | lohner"
+          Nncs_ode.Simulate.scheme_of_string "scheme" j;
       early_abort = bool_field ~default:r.Reach.early_abort "early_abort" j;
     }
   in
@@ -262,11 +265,7 @@ let job_to_json (job : job) =
         ("m", num_int r.Reach.integration_steps);
         ("order", num_int r.Reach.taylor_order);
         ("gamma", num_int r.Reach.gamma);
-        ( "scheme",
-          J.Str
-            (match r.Reach.scheme with
-            | Nncs_ode.Simulate.Direct -> "direct"
-            | Nncs_ode.Simulate.Lohner -> "lohner") );
+        ("scheme", J.Str (Nncs_ode.Simulate.scheme_to_string r.Reach.scheme));
         ("early_abort", J.Bool r.Reach.early_abort);
       ]
     @ strategy_fields

@@ -255,6 +255,29 @@ let load_lines lines =
 let test_fingerprint_pinned () =
   let fp = Backreach.fingerprint (homing_config ()) (homing_system ()) in
   Alcotest.(check string) "homing config" "265598a600bc2b52" fp;
+  (* the scheme and domain names are hashed too: pin a non-default pair *)
+  let lohner =
+    let c = homing_config () in
+    {
+      c with
+      Backreach.reach =
+        { c.Backreach.reach with Reach.scheme = Nncs_ode.Simulate.Lohner };
+    }
+  in
+  let affine =
+    let sys = homing_system () in
+    {
+      sys with
+      System.controller =
+        {
+          sys.System.controller with
+          Controller.domain = Nncs_nnabs.Transformer.Affine;
+        };
+    }
+  in
+  Alcotest.(check string)
+    "homing config, Lohner + Affine" "cc376bd6412e0ecc"
+    (Backreach.fingerprint lohner affine);
   (match load_lines (table_lines ~v:2 ~fp:"265598a600bc2b52") with
   | Error e -> Alcotest.failf "stored table refused: %s" e
   | Ok t ->

@@ -1,18 +1,20 @@
 (* Self-tests for the nncs_lint static analyzer: one fixture per rule
-   family, suppression coverage, scope rules, shadowing, and the
-   baseline workflow.  Fixtures are real .ml files under lint_fixtures/
-   but are linted under fake repo paths so the scope logic (R1 only in
-   soundness-critical dirs, R3 only under lib/) is exercised. *)
+   family, suppression coverage, scope rules, shadowing, [Driver.run]
+   over a directory and the repo gate.  Fixtures are real .ml files under
+   lint_fixtures/ but are linted under fake repo paths so the scope
+   logic (R1 only in soundness-critical dirs, R3 only under lib/) is
+   exercised. *)
 
 module L = Nncs_lint
 module F = L.Finding
 
-let read_fixture name =
-  let path = Filename.concat "lint_fixtures" name in
+let read_file path =
   let ic = open_in_bin path in
   Fun.protect
     ~finally:(fun () -> close_in ic)
     (fun () -> really_input_string ic (in_channel_length ic))
+
+let read_fixture name = read_file (Filename.concat "lint_fixtures" name)
 
 (* lint fixture [name] as if it lived at [path] in the repo *)
 let lint_as name path = L.Driver.lint_source ~path (read_fixture name)
@@ -148,6 +150,24 @@ let test_suppression () =
   let fs = lint_as "suppressed.ml" "lib/interval/suppressed.ml" in
   check_counts "all suppressed" [] fs
 
+let test_floating_allow () =
+  (* a floating [@@@lint.allow "r1 ..."] waives R1 from its line to the
+     end of the file, and nothing else: the whole-file waiver *)
+  let source =
+    "let before x = x +. 1.0\n\
+     [@@@lint.allow \"r1 test: the rest of the file bounds its own rounding\"]\n\
+     let after x = x +. 1.0\n\
+     let same x = x = 0.5\n\
+     let counter = ref 0\n"
+  in
+  let fs = L.Driver.lint_source ~path:"lib/core/waived.ml" source in
+  check_counts "R1 before the waiver, R2 and R3 after it"
+    [ ("r1-bare-float", 1); ("r2-float-compare", 1); ("r3-top-mutable", 1) ]
+    fs;
+  Alcotest.(check (list string))
+    "R1 only before the waiver" [ "before" ]
+    (bindings_of F.R1_bare_float fs)
+
 let test_conc_suppression () =
   (* [@lint.allow "r6..."] and family prefixes silence the new rules *)
   let source =
@@ -171,7 +191,7 @@ let test_type_failure () =
   check_counts "type failure" [ ("type-failure", 1) ] fs
 
 (* ----- acceptance criterion: a deliberately-introduced bare [+.] in
-   lib/interval is flagged as a new P1 when run without a baseline ----- *)
+   lib/interval is flagged as a P1 ----- *)
 
 let test_deliberate_regression () =
   let source = "let widen_ulp iv = Interval.hi iv +. 1e-9\n" in
@@ -180,115 +200,27 @@ let test_deliberate_regression () =
   let f = List.hd fs in
   Alcotest.(check string) "P1" "P1" (F.severity_id (F.severity f.F.rule));
   Alcotest.(check string) "op" "+." f.F.detail;
-  (* no baseline: the finding is New *)
-  let classified, stale = L.Baseline.apply [] fs in
-  Alcotest.(check bool)
-    "new without baseline" true
-    (List.for_all (fun (_, s) -> s = L.Baseline.New) classified);
-  Alcotest.(check int) "no stale" 0 (List.length stale)
+  Alcotest.(check (pair string int))
+    "at the patched line" ("lib/interval/patch.ml", 1) (f.F.file, f.F.line)
 
-(* ----- baseline workflow ----- *)
+(* ----- Driver.run over a directory ----- *)
 
-let test_baseline_roundtrip () =
-  let fs = lint_as "r1_bare_float.ml" "lib/interval/r1_bare_float.ml" in
-  let entries = L.Baseline.of_findings fs in
-  let path = Filename.temp_file "nncs_lint_test" ".json" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      L.Baseline.save path entries;
-      let loaded = L.Baseline.load path in
-      Alcotest.(check int)
-        "entry count survives" (List.length entries) (List.length loaded);
-      (* a full baseline classifies everything as baselined, nothing stale *)
-      let classified, stale = L.Baseline.apply loaded fs in
-      Alcotest.(check bool)
-        "all baselined" true
-        (List.for_all
-           (fun (_, s) -> match s with L.Baseline.Baselined _ -> true | _ -> false)
-           classified);
-      Alcotest.(check int) "no stale" 0 (List.length stale))
-
-let test_baseline_budget_and_stale () =
-  (* two occurrences of the same key (+. twice in one binding): a budget
-     of 1 baselines the first and reports the second as new *)
-  let fs =
-    L.Driver.lint_source ~path:"lib/interval/twice.ml"
-      "let f x = x +. 1.0 +. 2.0\n"
+let test_run_over_directory () =
+  (* [run] on a directory lints every .ml under it, in name order, as
+     one tree: exactly what [lint_sources] gives for the same files *)
+  let fixtures =
+    Sys.readdir "lint_fixtures" |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ".ml")
+    |> List.sort compare
+    |> List.map (Filename.concat "lint_fixtures")
   in
-  Alcotest.(check int) "two findings, one key" 2 (List.length fs);
-  let entries = L.Baseline.of_findings fs in
-  Alcotest.(check (list int))
-    "single entry with count 2" [ 2 ]
-    (List.map (fun (e : L.Baseline.entry) -> e.count) entries);
-  let cut =
-    List.map (fun e -> { e with L.Baseline.count = 1 }) entries
-  in
-  let classified, _ = L.Baseline.apply cut fs in
-  let news =
-    List.filter (fun (_, s) -> s = L.Baseline.New) classified |> List.length
-  in
-  Alcotest.(check int) "excess occurrence is new" 1 news;
-  (* and a baseline for findings the tree no longer produces goes stale *)
-  let _, stale = L.Baseline.apply entries [] in
-  Alcotest.(check int)
-    "all entries stale on empty run" (List.length entries) (List.length stale)
-
-let test_baseline_keeps_reasons () =
-  let fs = lint_as "r1_bare_float.ml" "lib/interval/r1_bare_float.ml" in
-  let entries = L.Baseline.of_findings fs in
-  let with_reason =
-    List.map (fun e -> { e with L.Baseline.reason = "checked by hand" }) entries
-  in
-  let rebuilt = L.Baseline.of_findings ~previous:with_reason fs in
-  Alcotest.(check bool)
-    "reasons survive regeneration" true
-    (List.for_all (fun (e : L.Baseline.entry) -> e.reason = "checked by hand") rebuilt)
-
-(* ----- parallel driver ----- *)
-
-let test_parallel_driver_equivalence () =
-  (* identical findings and per-file coverage regardless of worker
-     count; also drives the serialized typer section from several
-     domains at once *)
-  let seq = L.Driver.run ~workers:1 [ "lint_fixtures" ] in
-  let par = L.Driver.run ~workers:4 [ "lint_fixtures" ] in
+  let r = L.Driver.run [ "lint_fixtures" ] in
+  Alcotest.(check (list string)) "every fixture covered" fixtures r.L.Driver.files;
   Alcotest.(check (list string))
-    "same findings"
-    (List.map F.to_string seq.L.Driver.findings)
-    (List.map F.to_string par.L.Driver.findings);
-  Alcotest.(check (list string))
-    "same files covered"
-    (List.map fst seq.L.Driver.per_file)
-    (List.map fst par.L.Driver.per_file);
-  Alcotest.(check bool)
-    "wall-clock recorded" true
-    (List.for_all (fun (_, w) -> w >= 0.) par.L.Driver.per_file)
-
-(* ----- stale baseline entries for deleted files ----- *)
-
-let test_stale_missing_file () =
-  let e =
-    { L.Baseline.key = "r1-bare-float|lib/interval/gone.ml|f|+."; count = 2;
-      reason = "was pending" }
-  in
-  let _, stale = L.Baseline.apply [ e ] [] in
-  Alcotest.(check int) "entry is stale" 1 (List.length stale);
-  let kinds exists =
-    L.Baseline.classify_stale ~file_exists:(fun _ -> exists) stale
-    |> List.map (fun (_, k) -> k = L.Baseline.Missing_file)
-  in
-  Alcotest.(check (list bool)) "deleted file detected" [ true ] (kinds false);
-  Alcotest.(check (list bool)) "live file is just unmatched" [ false ]
-    (kinds true);
-  let pruned = L.Baseline.prune [ e ] stale in
-  Alcotest.(check int) "stale budget pruned away" 0 (List.length pruned);
-  (* partially-consumed entries keep the consumed part *)
-  let half = [ { e with L.Baseline.count = 1 } ] in
-  let kept = L.Baseline.prune [ e ] half in
-  Alcotest.(check (list int))
-    "partial prune keeps consumed budget" [ 1 ]
-    (List.map (fun (x : L.Baseline.entry) -> x.count) kept)
+    "same findings as the sources linted as one tree"
+    (List.map F.to_string
+       (L.Driver.lint_sources (List.map (fun f -> (f, read_file f)) fixtures)))
+    (List.map F.to_string r.L.Driver.findings)
 
 (* ----- the real tree: the linter gate itself ----- *)
 
@@ -309,20 +241,12 @@ let test_repo_is_clean () =
     let sources =
       List.map
         (fun file ->
-          let repo_path =
-            String.sub file 3 (String.length file - 3) (* drop "../" *)
-          in
-          let ic = open_in_bin file in
-          let src =
-            Fun.protect
-              ~finally:(fun () -> close_in ic)
-              (fun () -> really_input_string ic (in_channel_length ic))
-          in
-          (repo_path, src))
+          (* drop "../" *)
+          (String.sub file 3 (String.length file - 3), read_file file))
         files
     in
     let fs = L.Driver.lint_sources sources in
-    (* the committed baseline is empty: every rule family (R1-R7) must
+    (* nncs_lint fails on any finding: every rule family (R1-R7) must
        come back clean, not just the P1 subset *)
     Alcotest.(check (list string))
       "no findings in lib/ and bin/" []
@@ -346,6 +270,7 @@ let () =
           Alcotest.test_case "r7 fiber safety" `Quick test_r7;
           Alcotest.test_case "concurrency scope" `Quick test_conc_scope;
           Alcotest.test_case "suppression" `Quick test_suppression;
+          Alcotest.test_case "floating allow" `Quick test_floating_allow;
           Alcotest.test_case "concurrency suppression" `Quick
             test_conc_suppression;
           Alcotest.test_case "parse failure" `Quick test_parse_failure;
@@ -353,8 +278,8 @@ let () =
         ] );
       ( "driver",
         [
-          Alcotest.test_case "parallel equivalence" `Quick
-            test_parallel_driver_equivalence;
+          Alcotest.test_case "run over a directory" `Quick
+            test_run_over_directory;
         ] );
       ( "gate",
         [
@@ -362,14 +287,5 @@ let () =
             test_deliberate_regression;
           Alcotest.test_case "repo lib/ and bin/ are clean" `Quick
             test_repo_is_clean;
-        ] );
-      ( "baseline",
-        [
-          Alcotest.test_case "roundtrip" `Quick test_baseline_roundtrip;
-          Alcotest.test_case "budget and stale" `Quick
-            test_baseline_budget_and_stale;
-          Alcotest.test_case "keeps reasons" `Quick test_baseline_keeps_reasons;
-          Alcotest.test_case "stale for missing file" `Quick
-            test_stale_missing_file;
         ] );
     ]

@@ -103,6 +103,69 @@ let test_io_rejects_garbage () =
            false
          with Failure _ -> true))
 
+(* a one-layer network over two inputs, as .nnet text: the weight row is
+   line 4, the bias row line 5 *)
+let nnet_text ~weights ~bias =
+  Printf.sprintf "nncs-nnet 1\n1 2\n1 linear\n%s\n%s\n" weights bias
+
+let load_text text =
+  let path = Filename.temp_file "nncs" ".nnet" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Out_channel.with_open_text path (fun oc -> output_string oc text);
+      Io.load path)
+
+let contains s sub =
+  let n = String.length s and m = String.length sub in
+  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+  go 0
+
+let test_io_rejects_non_finite () =
+  ignore (load_text (nnet_text ~weights:"0.5 -0.25" ~bias:"1.0"));
+  List.iter
+    (fun bad ->
+      List.iter
+        (fun (where, line, text) ->
+          match load_text text with
+          | _ -> Alcotest.failf "%s %s accepted" where bad
+          | exception Failure msg ->
+              check
+                (Printf.sprintf "%s %s rejected at its line: %s" where bad msg)
+                true
+                (contains msg (Printf.sprintf "line %d:" line)))
+        [
+          ("weight", 4, nnet_text ~weights:("0.5 " ^ bad) ~bias:"1.0");
+          ("bias", 5, nnet_text ~weights:"0.5 -0.25" ~bias:bad);
+        ])
+    [ "nan"; "inf"; "-infinity" ];
+  let net = fig4_network () in
+  Mat.set net.Net.layers.(1).Net.weights 0 1 Float.nan;
+  let path = Filename.temp_file "nncs" ".nnet" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      check "NaN weight refused on save" true
+        (match Io.save net path with
+        | () -> false
+        | exception Invalid_argument _ -> true);
+      check "nothing written" true
+        (In_channel.with_open_bin path In_channel.input_all = ""))
+
+let test_io_shipped_networks () =
+  (* [dune test] runs in _build/default/test, [dune exec] in the root *)
+  let dir = if Sys.file_exists "data" then "data" else Filename.concat ".." "data" in
+  let nets =
+    Sys.readdir dir |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ".nnet")
+  in
+  check "the shipped networks are present" true (List.length nets = 5);
+  List.iter
+    (fun f ->
+      let net = Io.load (Filename.concat dir f) in
+      check (f ^ " has layers") true (Net.num_layers net > 0))
+    nets
+
 let test_gradient_check () =
   let rng = Rng.create 7 in
   let net = Net.create_mlp ~rng ~layer_sizes:[ 2; 4; 2 ] in
@@ -249,6 +312,10 @@ let () =
         [
           Alcotest.test_case "roundtrip" `Quick test_io_roundtrip;
           Alcotest.test_case "rejects garbage" `Quick test_io_rejects_garbage;
+          Alcotest.test_case "rejects non-finite numbers" `Quick
+            test_io_rejects_non_finite;
+          Alcotest.test_case "shipped networks load" `Quick
+            test_io_shipped_networks;
         ] );
       ( "training",
         [

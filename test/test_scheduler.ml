@@ -158,6 +158,33 @@ let test_equivalence () =
         = expected))
     [ (1, 1); (1, 4); (4, 1); (4, 4) ]
 
+(* ----- the configured depth sizes no allocation -----
+
+   The frontier's depth buckets used to be allocated up front for
+   [max_depth + 1] depths, so a job asking for depth 2^40 died with
+   [Out_of_memory] before its first leaf.  Cells that prove at depth 0
+   never refine, so any [max_depth] must give the depth-0 report. *)
+
+let test_unbounded_max_depth () =
+  let sys = homing_system () in
+  let cells = grid 3 in
+  let run max_depth workers =
+    strip_elapsed
+      (Verify.verify_partition
+         ~config:{ (config workers) with Verify.max_depth }
+         sys cells)
+  in
+  let expected = run 0 1 in
+  let coverage, _, _, _, _ = expected in
+  check "every cell proves at depth 0" true (coverage = 100.0);
+  List.iter
+    (fun workers ->
+      check
+        (Printf.sprintf "max_depth 2^40 = max_depth 0 (workers=%d)" workers)
+        true
+        (run (1 lsl 40) workers = expected))
+    [ 1; 4 ]
+
 (* ----- one worker runs the depth-first recursion's order ----- *)
 
 type event = Leaf of int * int list | Cell of int
@@ -368,6 +395,28 @@ let test_fingerprint_pinned () =
   Alcotest.(check string)
     "homing fixture, grid 4" "72fb0b9b430c1da0"
     (Verify.fingerprint ~config:(config 1) (homing_system ()) (grid 4));
+  (* the scheme and domain names are hashed too: pin a non-default pair *)
+  let sys = homing_system () in
+  let lohner =
+    let c = config 1 in
+    {
+      c with
+      Verify.reach = { c.Verify.reach with Reach.scheme = Nncs_ode.Simulate.Lohner };
+    }
+  in
+  let affine =
+    {
+      sys with
+      System.controller =
+        {
+          sys.System.controller with
+          Controller.domain = Nncs_nnabs.Transformer.Affine;
+        };
+    }
+  in
+  Alcotest.(check string)
+    "homing fixture, grid 4, Lohner + Affine" "8c6c1cfa3eae4520"
+    (Verify.fingerprint ~config:lohner affine (grid 4));
   let sys = homing_system ~horizon_steps:3 () in
   let cells = grid 3 in
   let path = Filename.temp_file "nncs_pinned" ".jsonl" in
@@ -475,6 +524,8 @@ let () =
             test_equivalence;
           Alcotest.test_case "one worker visits depth-first" `Quick
             test_one_worker_depth_first;
+          Alcotest.test_case "unbounded max_depth" `Quick
+            test_unbounded_max_depth;
           Alcotest.test_case "poisoned leaf isolated" `Quick
             test_poisoned_leaf_isolated;
           Alcotest.test_case "fatal death re-queues orphan" `Quick

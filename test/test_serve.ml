@@ -60,7 +60,12 @@ let test_request_roundtrip () =
   let config =
     {
       P.default_config with
-      Verify.max_depth = 3;
+      Verify.reach =
+        {
+          P.default_config.Verify.reach with
+          Nncs.Reach.scheme = Nncs_ode.Simulate.Lohner;
+        };
+      max_depth = 3;
       workers = 2;
       strategy = Verify.Most_influential { candidates = [ 0; 1 ]; take = 1 };
       limits =
@@ -87,6 +92,8 @@ let test_request_roundtrip () =
       check "domain" true (j.P.domain = T.Interval);
       Alcotest.(check int) "nn_splits" 4 j.P.nn_splits;
       check "memo flag" true (j.P.use_memo = false);
+      check "scheme" true
+        (j.P.config.Verify.reach.Nncs.Reach.scheme = Nncs_ode.Simulate.Lohner);
       Alcotest.(check int) "max_depth" 3 j.P.config.Verify.max_depth;
       Alcotest.(check int) "workers" 2 j.P.config.Verify.workers;
       check "strategy" true
@@ -151,10 +158,15 @@ let test_request_rejects () =
   rejects "job without cells" {|{"t":"job","id":"x"}|};
   rejects "both cells and partition"
     {|{"t":"job","id":"x","cells":[],"partition":{"arcs":1,"headings":1}}|};
-  rejects "bad domain"
-    {|{"t":"job","id":"x","partition":{"arcs":1,"headings":1},"domain":"zonotope"}|};
-  rejects "bad scheme"
-    {|{"t":"job","id":"x","partition":{"arcs":1,"headings":1},"scheme":"rk4"}|};
+  let error_of s = match parse s with Error e -> e | Ok _ -> "accepted" in
+  Alcotest.(check string)
+    "bad domain" {|field "domain" must be interval | symbolic | affine|}
+    (error_of
+       {|{"t":"job","id":"x","partition":{"arcs":1,"headings":1},"domain":"zonotope"}|});
+  Alcotest.(check string)
+    "bad scheme" {|field "scheme" must be direct | lohner|}
+    (error_of
+       {|{"t":"job","id":"x","partition":{"arcs":1,"headings":1},"scheme":"rk4"}|});
   rejects "take without dims"
     {|{"t":"job","id":"x","partition":{"arcs":1,"headings":1},"split_take":1}|};
   rejects "malformed box"
@@ -872,6 +884,28 @@ let test_session_nn_splits_bounded () =
   check "the next job is answered" true
     (List.exists (fun v -> v.vid = "next") (List.filter_map verdict_payload events))
 
+(* regression: "max_depth" reaches Verify.verify_partition, whose
+   frontier allocated a bucket per depth up front, so a huge value raised
+   [Out_of_memory]: fatal to the firewall, it killed the dispatcher.  The
+   homing cells prove at depth 0, so the job is answered at any depth. *)
+let test_session_max_depth_unbounded () =
+  let _, events =
+    run_session ~dispatchers:1
+      [
+        {|{"t":"job","id":"deep","partition":{"arcs":2,"headings":1},"split_dims":[0],"max_depth":1099511627776}|};
+        {|{"t":"job","id":"next","partition":{"arcs":2,"headings":1}}|};
+        {|{"t":"shutdown"}|};
+      ]
+  in
+  let verdicts = List.filter_map verdict_payload events in
+  (match List.filter (fun v -> v.vid = "deep") verdicts with
+  | [ v ] -> Alcotest.(check (float 0.0)) "deep job proved" 100.0 v.vcov
+  | _ -> Alcotest.fail "max_depth 2^40 must yield exactly one verdict");
+  check "no error event" false
+    (List.exists (function P.Job_error _ -> true | _ -> false) events);
+  check "the next job is answered" true
+    (List.exists (fun v -> v.vid = "next") verdicts)
+
 let session_server () =
   Server.create
     { Server.default_config with Server.dispatchers = 1 }
@@ -1248,5 +1282,7 @@ let () =
             test_session_lookup_unavailable;
           Alcotest.test_case "nn_splits bounded" `Quick
             test_session_nn_splits_bounded;
+          Alcotest.test_case "max_depth unbounded" `Quick
+            test_session_max_depth_unbounded;
         ] );
     ]
