@@ -16,7 +16,9 @@ let init rows cols f =
 let copy m = { m with data = Array.copy m.data }
 let rows m = m.rows
 let cols m = m.cols
-let get m i j = m.data.((i * m.cols) + j)
+(* inlined, so a caller's weight read stays an unboxed float; out of
+   line it boxes every element (2 words a read in F#'s inner loop) *)
+let[@inline] get m i j = m.data.((i * m.cols) + j)
 let set m i j v = m.data.((i * m.cols) + j) <- v
 let row m i = Array.sub m.data (i * m.cols) m.cols
 let identity n = init n n (fun i j -> if i = j then 1.0 else 0.0)

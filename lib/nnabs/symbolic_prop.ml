@@ -44,22 +44,25 @@ let input_magnitude box =
    with its constant and accumulated-error terms at index [l*n + i].
    Every neuron's value satisfies
    lo(x) - lo_err <= value(x) <= up(x) + up_err  over its lane's box.
-   The four planes (lower/upper x current/next) are scratch buffers
-   owned by the calling domain and reused across layers and calls, so
-   the hot loop performs no per-neuron allocation. *)
+   A row that ReLU zeroed carries a flag, so the next affine layer can
+   skip it.  The four planes (lower/upper x current/next) are scratch
+   buffers owned by the calling domain and reused across layers and
+   calls, so the hot loop performs no per-neuron allocation. *)
 
 type plane = {
   mutable c : float array;  (* row-major rows*m coefficients *)
   mutable k : float array;  (* one constant term per row *)
   mutable e : float array;  (* one error bound per row, >= 0 *)
+  mutable z : bool array;  (* row zeroed: its c, k and e are all 0 *)
 }
 
-let make_plane () = { c = [||]; k = [||]; e = [||] }
+let make_plane () = { c = [||]; k = [||]; e = [||]; z = [||] }
 
 let ensure p n m =
   if Array.length p.c < n * m then p.c <- Array.make (n * m) 0.0;
   if Array.length p.k < n then p.k <- Array.make n 0.0;
-  if Array.length p.e < n then p.e <- Array.make n 0.0
+  if Array.length p.e < n then p.e <- Array.make n 0.0;
+  if Array.length p.z < n then p.z <- Array.make n false
 
 type scratch = {
   mutable cur_lo : plane;
@@ -143,7 +146,8 @@ let inverted_hull lo hi =
 let zero_row p i m =
   Array.fill p.c (i * m) m 0.0;
   p.k.(i) <- 0.0;
-  p.e.(i) <- 0.0
+  p.e.(i) <- 0.0;
+  p.z.(i) <- true
 
 (* The affine layer: dst = W * src + b on both bound planes of every
    lane.  [src] holds [k] lanes of [cols] rows, [dst] receives [k] lanes
@@ -152,7 +156,16 @@ let zero_row p i m =
    into the error term exactly as an inner-product accumulation of
    nterms*(m+1)+1 ops.  Each (row, lane) pair runs the whole (j, kk)
    loop with its accumulators in locals, so a lane's float-operation
-   sequence depends neither on [k] nor on the lane's position. *)
+   sequence depends neither on [k] nor on the lane's position.
+
+   A finite weight on a zeroed source row would add only +-0 to every
+   coefficient, the constant and the absolute sum, so that side's loop
+   is skipped: every nonzero value comes from the same operations, and
+   only the sign of a zero can differ, which no evaluated bound reads.
+   The error lane still takes its nudge, [add_up err (mul_up |w| 0)],
+   and [nterms] still counts the weight, so the error bounds keep their
+   bits.  A NaN or infinite weight is never skipped: [w * 0] is NaN,
+   and that poison must reach [eval_*_row]. *)
 let affine_rows ~k ~xmags w b m src_lo src_up dst_lo dst_up =
   let n = Mat.rows w and cols = Mat.cols w in
   ensure dst_lo (k * n) m;
@@ -164,6 +177,8 @@ let affine_rows ~k ~xmags w b m src_lo src_up dst_lo dst_up =
       let off = r * m and src0 = l * cols in
       Array.fill dst_lo.c off m 0.0;
       Array.fill dst_up.c off m 0.0;
+      dst_lo.z.(r) <- false;
+      dst_up.z.(r) <- false;
       let up_const = ref bi and lo_const = ref bi in
       let up_abs = ref (Float.abs bi) and lo_abs = ref (Float.abs bi) in
       let up_err = ref 0.0 and lo_err = ref 0.0 in
@@ -175,23 +190,28 @@ let affine_rows ~k ~xmags w b m src_lo src_up dst_lo dst_up =
           let su, sl = if wij > 0.0 then (src_up, src_lo) else (src_lo, src_up) in
           let srow = src0 + j in
           let joff = srow * m in
-          for kk = 0 to m - 1 do
-            let p = wij *. su.c.(joff + kk) in
-            dst_up.c.(off + kk) <- dst_up.c.(off + kk) +. p;
-            up_abs := !up_abs +. Float.abs p
-          done;
-          let pc = wij *. su.k.(srow) in
-          up_const := !up_const +. pc;
-          up_abs := !up_abs +. Float.abs pc;
+          let finite = Float.is_finite wij in
+          if not (finite && su.z.(srow)) then begin
+            for kk = 0 to m - 1 do
+              let p = wij *. su.c.(joff + kk) in
+              dst_up.c.(off + kk) <- dst_up.c.(off + kk) +. p;
+              up_abs := !up_abs +. Float.abs p
+            done;
+            let pc = wij *. su.k.(srow) in
+            up_const := !up_const +. pc;
+            up_abs := !up_abs +. Float.abs pc
+          end;
           up_err := R.add_up !up_err (R.mul_up (Float.abs wij) su.e.(srow));
-          for kk = 0 to m - 1 do
-            let p = wij *. sl.c.(joff + kk) in
-            dst_lo.c.(off + kk) <- dst_lo.c.(off + kk) +. p;
-            lo_abs := !lo_abs +. Float.abs p
-          done;
-          let pc = wij *. sl.k.(srow) in
-          lo_const := !lo_const +. pc;
-          lo_abs := !lo_abs +. Float.abs pc;
+          if not (finite && sl.z.(srow)) then begin
+            for kk = 0 to m - 1 do
+              let p = wij *. sl.c.(joff + kk) in
+              dst_lo.c.(off + kk) <- dst_lo.c.(off + kk) +. p;
+              lo_abs := !lo_abs +. Float.abs p
+            done;
+            let pc = wij *. sl.k.(srow) in
+            lo_const := !lo_const +. pc;
+            lo_abs := !lo_abs +. Float.abs pc
+          end;
           lo_err := R.add_up !lo_err (R.mul_up (Float.abs wij) sl.e.(srow))
         end
       done;
@@ -306,7 +326,9 @@ let propagate_planes net boxes =
     s.cur_lo.k.(r) <- 0.0;
     s.cur_up.k.(r) <- 0.0;
     s.cur_lo.e.(r) <- 0.0;
-    s.cur_up.e.(r) <- 0.0
+    s.cur_up.e.(r) <- 0.0;
+    s.cur_lo.z.(r) <- false;
+    s.cur_up.z.(r) <- false
   done;
   let n = ref m in
   Array.iteri
@@ -374,6 +396,6 @@ module Internal = struct
     let m = Array.length c in
     if B.dim box <> m then
       invalid_arg "Symbolic_prop.Internal.row_bounds: dimension mismatch";
-    let p = { c = Array.copy c; k = [| k |]; e = [| e |] } in
+    let p = { c = Array.copy c; k = [| k |]; e = [| e |]; z = [| false |] } in
     (eval_lower_row box p 0 m, eval_upper_row box p 0 m)
 end

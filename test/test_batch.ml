@@ -290,6 +290,20 @@ let mixed_boxes rng ~k ~dim =
              let c = Rng.uniform rng (-1.0) 1.0 in
              (c -. w, c +. w))))
 
+(* 16 boxes through [net] as batches of 1, 4 and 16 and as one reversed
+   batch (the same lanes at the opposite positions), each bit for bit
+   against the frozen kernel *)
+let matches_reference net boxes =
+  let expected = Array.map (Ref.propagate net) boxes in
+  let chunks k =
+    Array.concat
+      (List.init (16 / k) (fun c ->
+           Sym.propagate_batch net (Array.sub boxes (c * k) k)))
+  in
+  let rev a = Array.of_list (List.rev (Array.to_list a)) in
+  List.for_all (fun k -> boxes_eq_bits expected (chunks k)) [ 1; 4; 16 ]
+  && boxes_eq_bits expected (rev (Sym.propagate_batch net (rev boxes)))
+
 let prop_kernel_matches_reference =
   QCheck.Test.make ~count:30
     ~name:"matches the frozen scalar kernel"
@@ -298,17 +312,32 @@ let prop_kernel_matches_reference =
       let net = acas_shaped_net ~seed ~dead in
       let boxes = mixed_boxes (Rng.create (seed + 1)) ~k:16 ~dim:5 in
       Ref.zeroed := 0;
-      let expected = Array.map (Ref.propagate net) boxes in
-      let chunks k =
-        Array.concat
-          (List.init (16 / k) (fun c ->
-               Sym.propagate_batch net (Array.sub boxes (c * k) k)))
-      in
-      let rev a = Array.of_list (List.rev (Array.to_list a)) in
-      (dead < 0.1 || !Ref.zeroed > 0)
-      && List.for_all (fun k -> boxes_eq_bits expected (chunks k)) [ 1; 4; 16 ]
-      (* the same lanes at the opposite positions of one batch *)
-      && boxes_eq_bits expected (rev (Sym.propagate_batch net (rev boxes))))
+      matches_reference net boxes && (dead < 0.1 || !Ref.zeroed > 0))
+
+(* the five shipped ACAS networks; [dune test] runs in _build/default/test,
+   [dune exec] and the sanitizer job in the root *)
+let acas_nets =
+  lazy
+    (let dir = if Sys.file_exists "data" then "data" else Filename.concat ".." "data" in
+     Sys.readdir dir |> Array.to_list
+     |> List.filter (fun f -> Filename.check_suffix f ".nnet")
+     |> List.sort String.compare
+     |> List.map (fun f -> Nncs_nn.Nnet_io.load (Filename.concat dir f)))
+
+let prop_acas_matches_reference =
+  QCheck.Test.make ~count:4
+    ~name:"matches the frozen scalar kernel on the ACAS networks"
+    QCheck.(int_range 0 100000)
+    (fun seed ->
+      let nets = Lazy.force acas_nets in
+      let rng = Rng.create seed in
+      List.length nets = 5
+      && List.for_all
+           (fun net ->
+             let boxes = mixed_boxes rng ~k:16 ~dim:5 in
+             Ref.zeroed := 0;
+             matches_reference net boxes && !Ref.zeroed > 0)
+           nets)
 
 (* ----- lane independence: a batch of K vs K batches of one ----- *)
 
@@ -714,6 +743,7 @@ let () =
           Alcotest.test_case "all domains and splits" `Quick
             test_transformer_batch_all_domains;
           QCheck_alcotest.to_alcotest prop_kernel_matches_reference;
+          QCheck_alcotest.to_alcotest prop_acas_matches_reference;
         ] );
       ( "cache",
         [ Alcotest.test_case "batched probe" `Quick test_cache_batch ] );

@@ -240,6 +240,40 @@ let test_nan_weight_network_sound () =
   check "poisoned output not finitely bounded" true
     (I.lo iv = Float.neg_infinity || I.hi iv = Float.infinity)
 
+let test_nonfinite_weight_on_dead_neuron () =
+  (* ReLU zeroes the first hidden neuron on the whole box (bias -1e3),
+     and F# skips the work a finite weight would do on that row.  A
+     NaN or infinite weight on it must not be skipped: w * 0 is NaN, and
+     that poison must still reach the output as an infinite bound *)
+  let net w =
+    let hidden =
+      {
+        Net.weights = Mat.init 2 2 (fun _ _ -> 1.0);
+        biases = [| -1e3; 0.0 |];
+        activation = Act.Relu;
+      }
+    in
+    let output =
+      {
+        Net.weights = Mat.init 1 2 (fun _ j -> [| w; 1.0 |].(j));
+        biases = [| 0.0 |];
+        activation = Act.Linear;
+      }
+    in
+    Net.make ~input_dim:2 [| hidden; output |]
+  in
+  let box = B.of_bounds [| (-1.0, 1.0); (-1.0, 1.0) |] in
+  let out w = B.get (T.propagate T.Symbolic (net w) box) 0 in
+  let finite = out 1.0 in
+  check "finite weight: finitely bounded" true
+    (Float.is_finite (I.lo finite) && Float.is_finite (I.hi finite));
+  List.iter
+    (fun (name, w) ->
+      let iv = out w in
+      check (name ^ " weight on a dead neuron: not finitely bounded") true
+        (I.lo iv = Float.neg_infinity || I.hi iv = Float.infinity))
+    [ ("nan", Float.nan); ("+inf", Float.infinity); ("-inf", Float.neg_infinity) ]
+
 let test_zero_weight_unbounded_input () =
   (* regression: Interval.mul_float 0.0 on an unbounded input gave NaN
      bounds (0 * inf), so the interval domain returned a NaN box where
@@ -388,6 +422,8 @@ let () =
             test_nan_poisoned_plane;
           Alcotest.test_case "nan-weight network" `Quick
             test_nan_weight_network_sound;
+          Alcotest.test_case "non-finite weight on a dead neuron" `Quick
+            test_nonfinite_weight_on_dead_neuron;
           Alcotest.test_case "zero weight on an unbounded input" `Quick
             test_zero_weight_unbounded_input;
           Alcotest.test_case "output bounds shape" `Quick
