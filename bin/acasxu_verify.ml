@@ -124,7 +124,7 @@ let run_cross_check table report =
   if cc.Backreach.findings = [] then 0 else 3
 
 let run dir arcs headings arc_sel gamma msteps order domain nn_splits
-    max_depth workers batch_leaves abs_cache abs_cache_quantum
+    max_depth workers abs_cache abs_cache_quantum
     abs_cache_shards cell_deadline cell_ode_budget cell_state_budget
     journal_path resume tiny csv trace backreach backreach_table
     backreach_grid cross_check quiet =
@@ -169,7 +169,6 @@ let run dir arcs headings arc_sel gamma msteps order domain nn_splits
           max_symstates = cell_state_budget;
         };
       degrade = true;
-      batch_leaves;
     }
   in
   let states = List.map snd cells in
@@ -358,16 +357,6 @@ let nn_splits =
 let max_depth = Arg.(value & opt int 2 & info [ "max-depth" ] ~doc:"Split-refinement depth.")
 let workers = Arg.(value & opt int 1 & info [ "workers" ] ~doc:"Parallel domains.")
 
-let batch_leaves =
-  Arg.(
-    value & opt int 1
-    & info [ "batch-leaves" ]
-        ~doc:
-          "Number of compatible frontier leaves a worker drains per pull \
-           and runs in lockstep, sharing batched F# kernel calls.  \
-           Verdicts, leaf sets and journal records are byte-identical at \
-           every value; 1 (the default) is the scalar path.")
-
 let abs_cache =
   Arg.(
     value & opt int 0
@@ -488,8 +477,8 @@ let cmd =
     (Cmd.info "acasxu_verify" ~doc:"Verify the ACAS Xu closed loop by reachability")
     Term.(
       const run $ dir $ arcs $ headings $ arc_sel $ gamma $ msteps $ order
-      $ domain $ nn_splits $ max_depth $ workers $ batch_leaves
-      $ abs_cache $ abs_cache_quantum $ abs_cache_shards $ cell_deadline
+      $ domain $ nn_splits $ max_depth $ workers $ abs_cache
+      $ abs_cache_quantum $ abs_cache_shards $ cell_deadline
       $ cell_ode_budget $ cell_state_budget $ journal $ resume $ tiny $ csv
       $ trace $ backreach $ backreach_table $ backreach_grid $ cross_check
       $ quiet)

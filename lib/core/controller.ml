@@ -50,56 +50,25 @@ let concrete_step ctrl ~state ~prev_cmd =
 
 let domain_tag = function T.Interval -> 0 | T.Symbolic -> 1 | T.Affine -> 2
 
-(* Queries sharing one previous command run the same abstraction on the
-   same network, so they share a batched kernel call; distinct previous
-   commands are answered group by group, in ascending order (they may
-   select different networks and key the cache differently —
-   co-batching them would be unsound).  With a cache, each group
-   consults it per query and batches only the misses.  Entries are only
-   shareable between queries that would run the exact same abstraction:
-   the key carries the network's process-unique uid (never a
-   controller-local index — the domain cache outlives any one
-   controller, and an index would conflate different systems'
-   networks), plus domain and split depth in the tag. *)
-let abstract_scores_batch ?cache ctrl queries =
-  let out = Array.make (Array.length queries) None in
-  let cmds = List.sort_uniq Int.compare (Array.to_list (Array.map snd queries)) in
-  List.iter
-    (fun prev_cmd ->
-      let idxs =
-        List.filter (fun i -> snd queries.(i) = prev_cmd)
-          (List.init (Array.length queries) Fun.id)
-      in
-      let net = ctrl.networks.(ctrl.select prev_cmd) in
-      let xs =
-        Array.of_list (List.map (fun i -> ctrl.pre_abs (fst queries.(i))) idxs)
-      in
-      let run bs =
-        T.propagate_split_batch ctrl.domain ~splits:ctrl.nn_splits net bs
-      in
-      let ys =
-        match cache with
-        | None -> run xs
-        | Some c ->
-            let tag = (ctrl.nn_splits * 3) + domain_tag ctrl.domain in
-            Nncs_nnabs.Cache.find_or_compute_batch c ~net_id:(Net.uid net)
-              ~cmd:prev_cmd ~tag xs run
-      in
-      List.iteri (fun j i -> out.(i) <- Some ys.(j)) idxs)
-    cmds;
-  Array.map
-    (function Some y -> y | None -> assert false (* every index grouped *))
-    out
-
+(* With a cache, entries are only shareable between queries that would
+   run the exact same abstraction: the key carries the network's
+   process-unique uid (never a controller-local index — the domain cache
+   outlives any one controller, and an index would conflate different
+   systems' networks), plus domain and split depth in the tag.  The
+   query's 2^nn_splits bisection lanes go through one kernel call. *)
 let abstract_scores ?cache ctrl ~box ~prev_cmd =
-  (abstract_scores_batch ?cache ctrl [| (box, prev_cmd) |]).(0)
+  let net = ctrl.networks.(ctrl.select prev_cmd) in
+  let run x = T.propagate_split ctrl.domain ~splits:ctrl.nn_splits net x in
+  let x = ctrl.pre_abs box in
+  match cache with
+  | None -> run x
+  | Some c ->
+      let tag = (ctrl.nn_splits * 3) + domain_tag ctrl.domain in
+      Nncs_nnabs.Cache.find_or_compute c ~net_id:(Net.uid net) ~cmd:prev_cmd
+        ~tag x run
 
-(* [post_abs] plus command validation — the half of [abstract_step]
-   after the scores; split out so a batched scorer (the leaf scheduler's
-   lockstep driver) reuses the exact validation, error messages
-   included. *)
-let commands_of_scores ctrl y =
-  let cmds = ctrl.post_abs y in
+let abstract_step ?cache ctrl ~box ~prev_cmd =
+  let cmds = ctrl.post_abs (abstract_scores ?cache ctrl ~box ~prev_cmd) in
   if cmds = [] then
     invalid_arg "Controller.abstract_step: post_abs returned no command";
   List.iter
@@ -108,9 +77,6 @@ let commands_of_scores ctrl y =
         invalid_arg "Controller.abstract_step: invalid command index")
     cmds;
   cmds
-
-let abstract_step ?cache ctrl ~box ~prev_cmd =
-  commands_of_scores ctrl (abstract_scores ?cache ctrl ~box ~prev_cmd)
 
 (* A NaN score makes every [<]/[>] comparison below false, so the scan
    would silently fall through to index 0 — poisoned network output

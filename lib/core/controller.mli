@@ -44,8 +44,9 @@ val make :
 
 val domain_tag : Nncs_nnabs.Transformer.domain -> int
 (** A distinct small integer per abstraction domain ([Interval] 0,
-    [Symbolic] 1, [Affine] 2): part of the abstraction cache's key, and
-    the order in which the batched scheduler groups queries. *)
+    [Symbolic] 1, [Affine] 2): with [nn_splits], the tag of the
+    abstraction cache's key, so queries that run different abstractions
+    never share an entry. *)
 
 val concrete_step : t -> state:float array -> prev_cmd:int -> int
 (** One controller execution: the command index for the next period. *)
@@ -71,30 +72,12 @@ val abstract_scores :
   box:Nncs_interval.Box.t ->
   prev_cmd:int ->
   Nncs_interval.Box.t
-(** The intermediate p-box [y] = F#(Pre#(box)) before post-processing —
-    used by the influence-guided splitting heuristic:
-    {!abstract_scores_batch} on a batch of one.  [cache] as in
+(** The intermediate p-box [y] = F#(Pre#(box)) before post-processing,
+    which {!abstract_step} maps through [post_abs]; also used by the
+    influence-guided splitting heuristic.  The 2^[nn_splits] bisection
+    sub-boxes of [Pre#(box)] go through one kernel call
+    ({!Nncs_nnabs.Transformer.propagate_split}).  [cache] as in
     {!abstract_step}. *)
-
-val abstract_scores_batch :
-  ?cache:Nncs_nnabs.Cache.t ->
-  t ->
-  (Nncs_interval.Box.t * int) array ->
-  Nncs_interval.Box.t array
-(** {!abstract_scores} of every [(box, prev_cmd)] query: queries are
-    grouped by previous command (hence network and cache key family —
-    groups are never co-batched) and answered group by group in
-    ascending command order; the cache is consulted per query, and only
-    the misses of a group go through one kernel call
-    ({!Nncs_nnabs.Transformer.propagate_split_batch}).  Lanes are
-    independent, so result [i] is bit-for-bit the answer to query [i]
-    alone, given the same cache contents. *)
-
-val commands_of_scores : t -> Nncs_interval.Box.t -> int list
-(** The post-processing half of {!abstract_step}: [post_abs] on a score
-    box with the same command validation (and the same error messages).
-    [abstract_step] is [commands_of_scores] of {!abstract_scores};
-    exposed so a batched scorer reuses the validation verbatim. *)
 
 (** {1 Ready-made post-processings} *)
 

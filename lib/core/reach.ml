@@ -65,11 +65,9 @@ let analyze ?(config = default_config) ?(budget = Budget.none) ?abstract sys r0
      the parallel driver share it (per-shard locks), and a resident
      multi-query server keeps it warm across successive jobs *)
   let cache = Option.map Nncs_nnabs.Cache.shared config.abs_cache in
-  (* the controller-abstraction hook: the leaf scheduler's lockstep
-     driver overrides it to park the leaf at every F# query so queries
-     from co-scheduled leaves batch into one kernel call; it
-     receives the *current* controller, so the degradation ladder's
-     domain swap still reaches the override *)
+  (* the controller-abstraction hook, for callers that time or record
+     queries; it receives the *current* controller, so the degradation
+     ladder's domain swap still reaches the override *)
   let abstract_step =
     match abstract with
     | Some f -> fun ~box ~prev_cmd -> f ctrl ~box ~prev_cmd

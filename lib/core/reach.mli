@@ -75,9 +75,8 @@ val analyze :
 
     [abstract] overrides the controller-abstraction call of every
     control step (default
-    [Controller.abstract_step ?cache sys.controller]): the leaf
-    scheduler's batched mode passes a hook that parks the analysis at
-    each F# query so co-scheduled leaves share one kernel call.
+    [Controller.abstract_step ?cache sys.controller]): the hook for
+    callers that time or record the F# queries of a run.
     The override receives the system's {e current} controller — under
     the degradation ladder's interval rung, the domain-swapped one — and
     must be semantically identical to the default for verdicts to be

@@ -25,12 +25,6 @@ let m_requeued_leaves = Metrics.counter "resilience.requeued_leaves"
 let m_replayed_leaves = Metrics.counter "verify.replayed_leaves"
 let h_frontier = Metrics.histogram "verify.frontier_size"
 
-(* batched-F# instruments (see DESIGN.md "Batched F#"): one batch = one
-   grouped kernel call answering the parked queries of co-scheduled
-   leaves *)
-let m_batches = Metrics.counter "verify.fsharp_batches"
-let m_batched_queries = Metrics.counter "verify.fsharp_batched_queries"
-
 type split_strategy =
   | All_dims of int list
   | Most_influential of { candidates : int list; take : int }
@@ -46,7 +40,7 @@ type config = {
   limits : Budget.limits;
   degrade : bool;
   scheduler : scheduler;
-  batch_leaves : int;
+  batch_leaves : int;  (* inert, see verify.mli *)
 }
 
 let default_config =
@@ -158,16 +152,12 @@ let rung_base = "base"
 let rung_halved = "halved_step"
 let rung_interval = "interval_domain"
 
-(* [abstract] is the controller-abstraction override threaded down to
-   {!Reach.analyze}; the batched leaf scheduler passes the
-   query-parking hook, the scalar paths pass nothing.  It follows the
-   ladder's domain swap because Reach hands it the current controller. *)
-let attempt ?abstract reach_config budget sys st =
-  Reach.run ~config:reach_config ~budget ?abstract sys (Symset.of_list [ st ])
+let attempt reach_config budget sys st =
+  Reach.run ~config:reach_config ~budget sys (Symset.of_list [ st ])
 
-let run_ladder ?abstract config budget sys st =
+let run_ladder config budget sys st =
   let base = config.reach in
-  match attempt ?abstract base budget sys st with
+  match attempt base budget sys st with
   | Ok r -> (Ok r, [ rung_base ])
   | Error ((Failure_.Budget_exceeded _ | Failure_.Cancelled _) as f) ->
       (Error f, [ rung_base ])
@@ -176,7 +166,7 @@ let run_ladder ?abstract config budget sys st =
       let halved =
         { base with Reach.integration_steps = 2 * base.Reach.integration_steps }
       in
-      match attempt ?abstract halved budget sys st with
+      match attempt halved budget sys st with
       | Ok r -> (Ok r, [ rung_base; rung_halved ])
       | Error ((Failure_.Budget_exceeded _ | Failure_.Cancelled _) as f) ->
           (Error f, [ rung_base; rung_halved ])
@@ -193,17 +183,17 @@ let run_ladder ?abstract config budget sys st =
                   { ctrl with Controller.domain = Nncs_nnabs.Transformer.Interval };
               }
             in
-            match attempt ?abstract halved budget sys' st with
+            match attempt halved budget sys' st with
             | Ok r -> (Ok r, [ rung_base; rung_halved; rung_interval ])
             | Error f3 -> (Error f3, [ rung_base; rung_halved; rung_interval ])
           end)
 
-let run_leaf ?abstract config budget sys st =
+let run_leaf config budget sys st =
   let t0 = now () in
   let verdict, rungs =
-    if config.degrade then run_ladder ?abstract config budget sys st
+    if config.degrade then run_ladder config budget sys st
     else
-      match attempt ?abstract config.reach budget sys st with
+      match attempt config.reach budget sys st with
       | Ok r -> (Ok r, [ rung_base ])
       | Error f -> (Error f, [ rung_base ])
   in
@@ -294,17 +284,12 @@ module Frontier = struct
         f.buckets.(d) <- task :: f.buckets.(d);
         f.size <- f.size + 1)
 
-  (* [pop_where] restricts the pick to tasks satisfying [pred] while
-     keeping the exact priority policy (deepest bucket, expired-first,
-     then lowest (cell, path)) — the batched scheduler drains extra
-     tasks that are compatible with the one just popped (same
-     network). *)
-  let pop_where ~expired ~pred f =
+  let pop ~expired f =
     with_lock f (fun () ->
         let rec deepest d =
           if d < 0 then None
           else
-            match List.filter pred f.buckets.(d) with
+            match f.buckets.(d) with
             | [] -> deepest (d - 1)
             | ts -> Some (d, ts)
         in
@@ -323,149 +308,10 @@ module Frontier = struct
             f.size <- f.size - 1;
             Metrics.observe h_frontier (float_of_int f.size);
             Some pick)
-
-  let pop ~expired f = pop_where ~expired ~pred:(fun _ -> true) f
 end
-
-(* ----- batched F# via lockstep fibers (config.batch_leaves > 1) -----
-
-   With [--batch-leaves=K], a worker drains up to K compatible frontier
-   tasks per pull and runs their reachability analyses as effect-based
-   fibers in lockstep: each leaf parks at every controller-abstraction
-   query ([Fsharp_scores]), the driver gathers the parked queries of all
-   co-scheduled leaves, answers them with one kernel call
-   ({!Controller.abstract_scores_batch}), and resumes the fibers in
-   index order.
-
-   Verdict preservation: every query is answered with the bitwise value
-   the scalar path would compute (kernel lanes are independent: a box's
-   answer does not depend on the batch it rides in), each fiber's own
-   sequence of queries and answers is therefore identical to its scalar
-   execution, and reassembly is the unchanged path-sorted DFS — so
-   verdicts, leaf sets and journal records are byte-identical to
-   [batch_leaves = 1] at any worker count.  Per-leaf firewalls survive
-   batching: a group call that fails is retried query by query, as
-   batches of one, and only the culpable fiber is discontinued with its
-   exception (caught by that leaf's ladder or firewall exactly as in the
-   scalar path). *)
-
-type fsharp_query = { q_ctrl : Controller.t; q_box : B.t; q_cmd : int }
-type _ Effect.t += Fsharp_scores : fsharp_query -> B.t Effect.t
-
-(* The Reach [?abstract] override run inside each fiber: park at the
-   score query, then reuse the scalar post-processing and validation. *)
-let batched_abstract ctrl ~box ~prev_cmd =
-  let y =
-    Effect.perform (Fsharp_scores { q_ctrl = ctrl; q_box = box; q_cmd = prev_cmd })
-  in
-  Controller.commands_of_scores ctrl y
-
-(* Run [bodies] as lockstep fibers; returns each body's result.  A body
-   must either return or park at [Fsharp_scores] — any exception it does
-   not absorb propagates out of the driver (fatal worker-death
-   semantics; the caller re-queues the whole group's unfinished tasks).
-   Queries are grouped by abstraction semantics — the ladder's interval
-   rung swaps the controller domain mid-leaf, so co-scheduled fibers on
-   different rungs must not co-batch. *)
-let run_lockstep ~cache (bodies : (unit -> 'a) array) : 'a option array =
-  let n = Array.length bodies in
-  let results : 'a option array = Array.make n None in
-  let parked :
-      (fsharp_query * (B.t, unit) Effect.Deep.continuation) option array =
-    Array.make n None
-  in
-  let handler i =
-    {
-      Effect.Deep.retc = (fun v -> results.(i) <- Some v);
-      exnc = (fun e -> raise e);
-      effc =
-        (fun (type c) (eff : c Effect.t) ->
-          match eff with
-          | Fsharp_scores q ->
-              Some
-                (fun (k : (c, unit) Effect.Deep.continuation) ->
-                  parked.(i) <- Some (q, k))
-          | _ -> None);
-    }
-  in
-  Array.iteri (fun i body -> Effect.Deep.match_with body () (handler i)) bodies;
-  let rec drive () =
-    let pending = ref [] in
-    for i = n - 1 downto 0 do
-      match parked.(i) with
-      | Some (q, _) -> pending := (i, q) :: !pending
-      | None -> ()
-    done;
-    match !pending with
-    | [] -> ()
-    | pending ->
-        let answers : (B.t, exn) result option array = Array.make n None in
-        let groups : (int * int, (int * fsharp_query) list) Hashtbl.t =
-          Hashtbl.create 4
-        in
-        List.iter
-          (fun ((_, q) as iq) ->
-            let key =
-              ( Controller.domain_tag q.q_ctrl.Controller.domain,
-                q.q_ctrl.Controller.nn_splits )
-            in
-            let tl = try Hashtbl.find groups key with Not_found -> [] in
-            Hashtbl.replace groups key (iq :: tl))
-          pending;
-        let keys =
-          List.sort
-            (fun (a1, b1) (a2, b2) ->
-              match Int.compare a1 a2 with 0 -> Int.compare b1 b2 | c -> c)
-            (Hashtbl.fold (fun k _ acc -> k :: acc) groups [])
-        in
-        List.iter
-          (fun key ->
-            let iqs = List.rev (Hashtbl.find groups key) in
-            let ctrl = (snd (List.hd iqs)).q_ctrl in
-            let queries =
-              Array.of_list (List.map (fun (_, q) -> (q.q_box, q.q_cmd)) iqs)
-            in
-            Metrics.incr m_batches;
-            Metrics.add m_batched_queries (Array.length queries);
-            match Controller.abstract_scores_batch ?cache ctrl queries with
-            | ys ->
-                List.iteri (fun j (i, _) -> answers.(i) <- Some (Ok ys.(j))) iqs
-            | exception e when not (Firewall.fatal e) ->
-                (* the per-leaf firewall across a batch: retry each query
-                   alone, as a batch of one, so only the culpable leaf
-                   fails — its siblings get their bit-identical
-                   answers *)
-                List.iter
-                  (fun (i, q) ->
-                    answers.(i) <-
-                      Some
-                        (match
-                           Controller.abstract_scores ?cache q.q_ctrl
-                             ~box:q.q_box ~prev_cmd:q.q_cmd
-                         with
-                        | y -> Ok y
-                        | exception e when not (Firewall.fatal e) -> Error e))
-                  iqs)
-          keys;
-        List.iter
-          (fun (i, _) ->
-            match (parked.(i), answers.(i)) with
-            | Some (_, k), Some ans -> (
-                parked.(i) <- None;
-                match ans with
-                | Ok y -> Effect.Deep.continue k y
-                | Error e -> Effect.Deep.discontinue k e)
-            | _ -> assert false)
-          pending;
-        drive ()
-  in
-  drive ();
-  results
 
 let verify_partition ?cancel ?(config = default_config) ?progress ?on_cell
     ?on_leaf ?(completed = []) ?(partial = []) sys cells =
-  if config.batch_leaves < 1 then
-    invalid_arg "Verify.verify_partition: batch_leaves must be >= 1";
   if config.max_depth < 0 then
     invalid_arg "Verify.verify_partition: negative depth";
   (match config.strategy with
@@ -620,43 +466,14 @@ let verify_partition ?cancel ?(config = default_config) ?progress ?on_cell
   let task_key task =
     String.concat "." (List.map string_of_int (task.t_cell :: task.t_path))
   in
-  (* replay / deterministic-resplit tasks complete without running any
-     reachability; [`Run] tasks carry the real leaf work *)
-  let pre_process task =
-    match Hashtbl.find_opt recorded (task.t_cell, task.t_path) with
-    | Some leaf ->
-        Metrics.incr m_replayed_leaves;
-        complete_terminal ~replay:true task leaf;
-        `Done
-    | None ->
-        if
-          task.t_depth < config.max_depth
-          && Hashtbl.mem known_split (task.t_cell, task.t_path)
-        then begin
-          (match
-             Firewall.protect ~classify:Reach.classify (fun () ->
-                 Symstate.split task.t_state (dims_to_split config sys task.t_state))
-           with
-          | Ok children -> push_children task children
-          | Error f ->
-              complete_terminal task
-                (unknown_leaf ~depth:task.t_depth task.t_state f));
-          `Done
-        end
-        else `Run
-  in
   (* the per-leaf firewall: anything the ladder did not absorb (strategy
      evaluation, splitting, injected faults, plain bugs) degrades this
-     one leaf — its siblings, and the rest of its own cell, go on.
-     [abstract] is the lockstep driver's query-parking hook; the scalar
-     path passes nothing. *)
-  let leaf_outcome ?abstract task =
+     one leaf — its siblings, and the rest of its own cell, go on *)
+  let leaf_outcome task =
     let budget = budget_for task.t_cell in
     Firewall.protect ~classify:Reach.classify (fun () ->
         Fault.trigger ~key:(task_key task) "verify.leaf";
-        let verdict, rungs, dt =
-          run_leaf ?abstract config budget sys task.t_state
-        in
+        let verdict, rungs, dt = run_leaf config budget sys task.t_state in
         Metrics.incr m_leaves;
         let proved =
           match verdict with
@@ -692,43 +509,30 @@ let verify_partition ?cancel ?(config = default_config) ?progress ?on_cell
           `Split
             (Symstate.split task.t_state (dims_to_split config sys task.t_state)))
   in
-  let apply_outcome task = function
-    | Ok (`Terminal leaf) -> complete_terminal task leaf
-    | Ok (`Split children) -> push_children task children
-    | Error f ->
-        complete_terminal task (unknown_leaf ~depth:task.t_depth task.t_state f)
-  in
-  (* one pulled group: a single leaf to run runs directly; several run
-     as lockstep fibers sharing batched F# calls, with the outcomes
-     applied in task order afterwards, so reassembly sees the same
-     completions as the scalar path *)
-  let cache = Option.map Nncs_nnabs.Cache.shared config.reach.Reach.abs_cache in
-  let process tasks =
-    let run_tasks =
-      List.filter
-        (fun t -> match pre_process t with `Run -> true | `Done -> false)
-        tasks
-    in
-    match run_tasks with
-    | [] -> ()
-    | [ task ] -> apply_outcome task (leaf_outcome task)
-    | run_tasks ->
-        let arr = Array.of_list run_tasks in
-        let bodies =
-          Array.map
-            (fun task () -> leaf_outcome ~abstract:batched_abstract task)
-            arr
-        in
-        let outcomes = run_lockstep ~cache bodies in
-        Array.iteri
-          (fun i task ->
-            match outcomes.(i) with
-            | Some outcome -> apply_outcome task outcome
-            | None ->
-                (* unreachable: a fiber either returns or parks, and the
-                   driver drains every park before returning *)
-                assert false)
-          arr
+  (* replay / deterministic-resplit tasks complete without running any
+     reachability; every other task runs its leaf *)
+  let process task =
+    match Hashtbl.find_opt recorded (task.t_cell, task.t_path) with
+    | Some leaf ->
+        Metrics.incr m_replayed_leaves;
+        complete_terminal ~replay:true task leaf
+    | None when
+        task.t_depth < config.max_depth
+        && Hashtbl.mem known_split (task.t_cell, task.t_path) -> (
+        match
+          Firewall.protect ~classify:Reach.classify (fun () ->
+              Symstate.split task.t_state (dims_to_split config sys task.t_state))
+        with
+        | Ok children -> push_children task children
+        | Error f ->
+            complete_terminal task (unknown_leaf ~depth:task.t_depth task.t_state f))
+    | None -> (
+        match leaf_outcome task with
+        | Ok (`Terminal leaf) -> complete_terminal task leaf
+        | Ok (`Split children) -> push_children task children
+        | Error f ->
+            complete_terminal task
+              (unknown_leaf ~depth:task.t_depth task.t_state f))
   in
   let rec worker_loop ?(backoff = 2e-4) w =
     match Frontier.pop ~expired frontier with
@@ -748,81 +552,34 @@ let verify_partition ?cancel ?(config = default_config) ?progress ?on_cell
             w
         end
     | Some task ->
-        (* batched mode: drain up to K-1 extra tasks whose leaves query
-           the same network as the popped one — only same-network
-           frontiers may share a kernel call (mixed-network co-batching
-           would be unsound and is structurally impossible here) *)
-        let group =
-          if config.batch_leaves <= 1 then [ task ]
-          else begin
-            let uid t =
-              let ctrl = sys.System.controller in
-              Nncs_nn.Network.uid
-                ctrl.Controller.networks.(ctrl.Controller.select
-                                            t.t_state.Symstate.cmd)
-            in
-            let u0 = uid task in
-            let rec drain acc r =
-              if r <= 0 then List.rev acc
-              else
-                match
-                  Frontier.pop_where ~expired
-                    ~pred:(fun t -> uid t = u0)
-                    frontier
-                with
-                | None -> List.rev acc
-                | Some t -> drain (t :: acc) (r - 1)
-            in
-            task :: drain [] (config.batch_leaves - 1)
-          end
+        let prev = Atomic.exchange cell_owner.(task.t_cell) w in
+        let stolen = prev >= 0 && prev <> w in
+        if stolen then Metrics.incr m_steals;
+        let attrs =
+          [
+            ("cell", Nncs_obs.Trace.Int task.t_cell);
+            ("depth", Nncs_obs.Trace.Int task.t_depth);
+            ("worker", Nncs_obs.Trace.Int w);
+            ("stolen", Nncs_obs.Trace.Bool stolen);
+          ]
         in
-        let stolen_of task =
-          let prev = Atomic.exchange cell_owner.(task.t_cell) w in
-          let stolen = prev >= 0 && prev <> w in
-          if stolen then Metrics.incr m_steals;
-          stolen
-        in
-        let stolen_flags = List.map stolen_of group in
-        let span, attrs =
-          match group with
-          | [ task ] ->
-              ( "verify.leaf",
-                [
-                  ("cell", Nncs_obs.Trace.Int task.t_cell);
-                  ("depth", Nncs_obs.Trace.Int task.t_depth);
-                  ("worker", Nncs_obs.Trace.Int w);
-                  ("stolen", Nncs_obs.Trace.Bool (List.hd stolen_flags));
-                ] )
-          | group ->
-              ( "verify.leaf_batch",
-                [
-                  ("leaves", Nncs_obs.Trace.Int (List.length group));
-                  ("worker", Nncs_obs.Trace.Int w);
-                ] )
-        in
-        (try Span.with_ span ~attrs (fun () -> process group)
+        (try Span.with_ "verify.leaf" ~attrs (fun () -> process task)
          with e ->
            if Firewall.fatal e then begin
-             (* hand the orphans back before dying: every subtree of the
-                group not yet completed is re-queued for the surviving
-                workers (or for the main-domain recovery sweep) *)
-             List.iter
-               (fun task ->
-                 if not (Atomic.get task.t_done) then begin
-                   Metrics.incr m_requeued_leaves;
-                   Frontier.push frontier task
-                 end)
-               group;
+             (* hand the orphan back before dying: a task not yet
+                completed is re-queued for the surviving workers (or for
+                the main-domain recovery sweep) *)
+             if not (Atomic.get task.t_done) then begin
+               Metrics.incr m_requeued_leaves;
+               Frontier.push frontier task
+             end;
              raise e
            end
            else begin
              Metrics.incr m_worker_crashes;
-             List.iter
-               (fun task ->
-                 complete_terminal task
-                   (unknown_leaf ~depth:task.t_depth task.t_state
-                      (Failure_.Worker_crashed (Printexc.to_string e))))
-               group
+             complete_terminal task
+               (unknown_leaf ~depth:task.t_depth task.t_state
+                  (Failure_.Worker_crashed (Printexc.to_string e)))
            end);
         worker_loop w
   in
@@ -1147,20 +904,3 @@ let report_of_json j =
     unknown_cells = Json.to_int (get ~what:"report" j "unknown_cells");
     total_cells = Json.to_int (get ~what:"report" j "total_cells");
   }
-
-(* ----- pre-parsed jobs -----
-
-   The unit of work of a resident verification service: a fully
-   resolved analysis configuration plus the initial cells.  The
-   fingerprint identifies the problem for memoization, so it is computed
-   here, once, next to the run it indexes. *)
-
-type job = { job_config : config; job_cells : Symstate.t list }
-
-let run_job ?cancel ?progress ?on_cell sys job =
-  let fp = fingerprint ~config:job.job_config sys job.job_cells in
-  let report =
-    verify_partition ?cancel ~config:job.job_config ?progress ?on_cell sys
-      job.job_cells
-  in
-  (fp, report)

@@ -44,17 +44,16 @@ type config = {
           default; off = a single attempt per leaf) *)
   scheduler : scheduler;  (** inert, see {!scheduler} *)
   batch_leaves : int;
-      (** the number of compatible frontier tasks a worker drains per
-          pull and runs as lockstep fibers sharing batched F# kernel
-          calls (see DESIGN.md "Batched F#"); 1 (the default) is the
-          scalar path.  Verdicts, leaf sets and journal records are
-          byte-identical at every value; like [workers] it does not
-          enter the problem {!fingerprint}. *)
+      (** Inert: every leaf runs alone, and each of its F# queries is
+          one kernel call, at any value.  The field remains only because
+          the benchmark under [nncsbench/] still sets it, and goes with
+          its next change.  It does not enter the problem
+          {!fingerprint}. *)
 }
 
 val default_config : config
 (** Paper setup: reach defaults, [All_dims [0;1;2]], depth 2, one
-    worker, unlimited budget, degradation on, no leaf batching. *)
+    worker, unlimited budget, degradation on. *)
 
 type leaf_result =
   | Completed of Reach.outcome  (** the reach analysis ran to a verdict *)
@@ -118,9 +117,9 @@ val verify_partition :
 
     Reports are reassembled deterministically: each cell's leaves are
     sorted by path, which is the depth-first order, so verdicts,
-    leaves and coverage do not depend on [workers] or [batch_leaves]
-    whenever verdicts are budget-independent; per-leaf [elapsed]
-    telemetry naturally varies between runs.
+    leaves and coverage do not depend on [workers] whenever verdicts
+    are budget-independent; per-leaf [elapsed] telemetry naturally
+    varies between runs.
 
     Callbacks fire live from the worker that finished the work, so
     they must tolerate concurrent invocation:
@@ -220,24 +219,3 @@ val report_to_json : report -> Nncs_obs.Json.t
     fingerprint-keyed verdict memo. *)
 
 val report_of_json : Nncs_obs.Json.t -> report
-
-(** {1 Pre-parsed jobs}
-
-    The unit of work of a resident verification service
-    ([Nncs_serve]): a fully resolved analysis configuration plus the
-    initial cells. *)
-
-type job = { job_config : config; job_cells : Symstate.t list }
-
-val run_job :
-  ?cancel:Nncs_resilience.Cancel.t ->
-  ?progress:(int -> int -> unit) ->
-  ?on_cell:(cell_report -> unit) ->
-  System.t ->
-  job ->
-  string * report
-(** [run_job sys job] is the problem {!fingerprint} of the job together
-    with the {!verify_partition} report for it.  The fingerprint is
-    computed before the run, so a caller that finds it in a memo can
-    skip the run entirely; [progress] and [on_cell] are passed through
-    to {!verify_partition}. *)

@@ -178,61 +178,21 @@ let insert sh key value =
           push_front sh e;
           value)
 
-(* Probe every query first, then compute all misses in one [f] call
-   (the batched F# kernel), deduplicating identical quantized keys so a
-   key is computed at most once per call.  The abstraction runs OUTSIDE
-   every shard lock: F# is the expensive part, and holding a lock here
-   would serialize every domain whose keys land on that shard.  The
-   price is that two domains missing on the same key concurrently both
-   compute it — both results enclose F# of the same quantized box, so
-   either is sound; [insert] keeps the incumbent, and every query is
-   answered with the value actually stored. *)
-let find_or_compute_batch t ~net_id ~cmd ?(tag = 0) boxes f =
-  let keys =
-    Array.map
-      (fun box -> { net_id; cmd; tag; bounds = quantize_bounds t.config.quantum box })
-      boxes
-  in
-  let out = Array.map (fun key -> probe (shard_for t key) key) keys in
-  (* distinct miss keys, first-occurrence order *)
-  let first_of : (key, int) Hashtbl.t = Hashtbl.create 8 in
-  let misses = ref [] in
-  Array.iteri
-    (fun i key ->
-      if Option.is_none out.(i) && not (Hashtbl.mem first_of key) then begin
-        Hashtbl.add first_of key i;
-        misses := i :: !misses
-      end)
-    keys;
-  let misses = Array.of_list (List.rev !misses) in
-  if Array.length misses > 0 then begin
-    let qboxes =
-      Array.map
-        (fun i ->
-          if t.config.quantum <= 0.0 then boxes.(i) else B.of_bounds keys.(i).bounds)
-        misses
-    in
-    let values = f qboxes in
-    if Array.length values <> Array.length misses then
-      invalid_arg "Cache.find_or_compute_batch: compute arity mismatch";
-    Array.iteri
-      (fun j i ->
-        let key = keys.(i) in
-        out.(i) <- Some (insert (shard_for t key) key values.(j)))
-      misses;
-    Array.iteri
-      (fun i key ->
-        if Option.is_none out.(i) then out.(i) <- out.(Hashtbl.find first_of key))
-      keys
-  end;
-  Array.map
-    (function
-      | Some v -> v
-      | None -> assert false (* every query is a hit or a resolved miss *))
-    out
-
-let find_or_compute t ~net_id ~cmd ?tag box f =
-  (find_or_compute_batch t ~net_id ~cmd ?tag [| box |] (fun qs -> [| f qs.(0) |])).(0)
+(* Probe, and on a miss run [f] on the quantized box OUTSIDE every shard
+   lock: F# is the expensive part, and holding a lock here would
+   serialize every domain whose keys land on that shard.  The price is
+   that two domains missing on the same key concurrently both compute
+   it — both results enclose F# of the same quantized box, so either is
+   sound; [insert] keeps the incumbent, and the query is answered with
+   the value actually stored. *)
+let find_or_compute t ~net_id ~cmd ?(tag = 0) box f =
+  let key = { net_id; cmd; tag; bounds = quantize_bounds t.config.quantum box } in
+  let sh = shard_for t key in
+  match probe sh key with
+  | Some v -> v
+  | None ->
+      let qbox = if t.config.quantum <= 0.0 then box else B.of_bounds key.bounds in
+      insert sh key (f qbox)
 
 type stats = { hits : int; misses : int; evictions : int; size : int }
 

@@ -80,31 +80,12 @@ val find_or_compute :
 (** [find_or_compute t ~net_id ~cmd ~tag box f] returns the cached
     output for the quantized key if present, else runs [f qbox] on the
     outward-quantized box (outside the shard lock), stores and returns
-    the result: {!find_or_compute_batch} on a batch of one.  [net_id]
-    must uniquely identify the network across the table's whole
-    lifetime — pass [Nncs_nn.Network.uid], not an array index (see the
-    soundness note above).  [tag] (default 0) distinguishes
-    otherwise-identical queries that must not share entries — e.g.
-    different abstract domains or split depths. *)
-
-val find_or_compute_batch :
-  t ->
-  net_id:int ->
-  cmd:int ->
-  ?tag:int ->
-  Nncs_interval.Box.t array ->
-  (Nncs_interval.Box.t array -> Nncs_interval.Box.t array) ->
-  Nncs_interval.Box.t array
-(** The cache lookup for queries sharing one [(net_id, cmd, tag)]:
-    probes every query in order, then computes {e all} misses with a
-    single [f] call on their outward-quantized boxes (outside any shard
-    lock) — the hook for the batched F# kernel.  Identical quantized
-    keys within one call are computed once; inserts keep the incumbent,
-    and each query's answer is the value actually stored.  When [f]'s
-    lanes are independent (its answer for a box does not depend on the
-    other boxes of the call), a query is answered as if it came alone.
-    Raises [Invalid_argument] if [f] returns an array of a different
-    length than its argument. *)
+    the result.  If another domain stored the key meanwhile, its value
+    is kept and returned.  [net_id] must uniquely identify the network
+    across the table's whole lifetime — pass [Nncs_nn.Network.uid], not
+    an array index (see the soundness note above).  [tag] (default 0)
+    distinguishes otherwise-identical queries that must not share
+    entries — e.g. different abstract domains or split depths. *)
 
 val quantize : float -> Nncs_interval.Box.t -> Nncs_interval.Box.t
 (** The outward-quantized box ([quantum <= 0.0] returns the input

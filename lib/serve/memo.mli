@@ -6,11 +6,11 @@
     touching the reachability pipeline.  The key is the
     {!Nncs.Verify.fingerprint} digest — covering the partition, the
     command set, the spec probes, the abstraction domain and input
-    splits, and the analysis config, but {e not} the worker count,
-    leaf batch width, or abstraction-cache settings, which cannot change
-    verdicts — extended by {!Server} with the budget limits when any
-    are set, because a budget-truncated report is not a valid answer
-    under a different budget.  It covers neither the network weights,
+    splits, and the analysis config, but {e not} the worker count or
+    the abstraction-cache settings, which cannot change verdicts —
+    extended by {!Server} with the budget limits when any are set,
+    because a budget-truncated report is not a valid answer under a
+    different budget.  It covers neither the network weights,
     so one memo must never outlive the network set it was computed
     against.
 

@@ -184,7 +184,6 @@ let config_of_json j =
     workers = int_field ~default:base.Verify.workers "workers" j;
     limits;
     degrade = bool_field ~default:base.Verify.degrade "degrade" j;
-    batch_leaves = int_field ~default:base.Verify.batch_leaves "batch_leaves" j;
   }
 
 let job_of_json j =
@@ -271,7 +270,6 @@ let job_to_json (job : job) =
     @ strategy_fields
     @ [
         ("workers", num_int c.Verify.workers);
-        ("batch_leaves", num_int c.Verify.batch_leaves);
         ("degrade", J.Bool c.Verify.degrade);
         ("memo", J.Bool job.use_memo);
       ]

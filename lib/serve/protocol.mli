@@ -21,7 +21,6 @@
                   "scheme":"direct"|"lohner",                [direct]
                   "early_abort":BOOL,                        [true]
                   "workers":N,                               [1]
-                  "batch_leaves":N,                          [1]
                   "degrade":BOOL,                            [true]
                   "deadline_s":F, "max_ode_steps":N,
                   "max_symstates":N,                         [unlimited]
@@ -34,7 +33,8 @@
     v}
 
     Unknown fields are ignored, so lines from older clients that still
-    carry the retired ["scheduler"] field parse to the same job.  A job
+    carry the retired ["scheduler"] or ["batch_leaves"] field parse to
+    the same job.  A job
     with ["nn_splits"] outside [0..8] is answered with an [error] event:
     every F# query of a job runs its 2^nn_splits sub-boxes in one kernel
     call, which no deadline can interrupt.

@@ -1,12 +1,11 @@
-(* Batched multi-leaf F# propagation must be an invisible optimization
-   at every layer of the stack: the one symbolic kernel reproduces a
-   frozen copy of the scalar kernel it replaced bit for bit, at any
-   batch width and lane position; the split wrapper matches the
-   recursive split; the cache probe and the controller scorer answer a
-   batch as they answer each query alone; and the leaf scheduler's
-   lockstep batching (--batch-leaves) preserves verdicts, leaf sets and
-   journal records byte-identically at any batch width and worker
-   count — with per-leaf fault firewalls intact inside a batch. *)
+(* Batched F# propagation must be invisible: the one symbolic kernel
+   reproduces a frozen copy of the scalar kernel it replaced bit for
+   bit, at any batch width and lane position; the split wrapper
+   matches the recursive split in every domain; the controller scorer,
+   whose 2^nn_splits lanes share one kernel call, answers as that
+   recursion with and without a cache; and the inert batch_leaves knob
+   leaves verdicts, leaf sets, journal records, fault firewalls and
+   fingerprints as they are at any value and worker count. *)
 
 module I = Nncs_interval.Interval
 module B = Nncs_interval.Box
@@ -411,65 +410,11 @@ let test_transformer_batch_all_domains () =
         [ 0; 1; 2; 3 ])
     [ T.Interval; T.Symbolic; T.Affine ]
 
-(* ----- the batched cache probe ----- *)
+(* ----- the controller scorer: one query, its lanes in one kernel call ----- *)
 
-let test_cache_batch () =
-  let cfg = { Cache.capacity = 64; quantum = 0.01; shards = 2 } in
-  let t = Cache.create cfg in
-  let rng = Rng.create 17 in
-  let net = random_net rng [ 2; 6; 2 ] in
-  let boxes = random_boxes rng ~k:6 ~dim:2 in
-  let calls = ref 0 in
-  let f bs =
-    incr calls;
-    Array.map (Sym.propagate net) bs
-  in
-  (* cold: one compute call covering every (distinct) miss *)
-  let r1 = Cache.find_or_compute_batch t ~net_id:1 ~cmd:0 boxes f in
-  Alcotest.(check int) "one compute call for the cold batch" 1 !calls;
-  Alcotest.(check int) "arity preserved" (Array.length boxes) (Array.length r1);
-  (* warm: all hits, no compute *)
-  let r2 = Cache.find_or_compute_batch t ~net_id:1 ~cmd:0 boxes f in
-  Alcotest.(check int) "warm batch computes nothing" 1 !calls;
-  check "warm results identical to stored" true (boxes_eq_bits r1 r2);
-  (* results match the scalar call sequence on an identically fresh cache *)
-  let t' = Cache.create cfg in
-  let scalar =
-    Array.map
-      (fun b ->
-        Cache.find_or_compute t' ~net_id:1 ~cmd:0 b (fun qb -> Sym.propagate net qb))
-      boxes
-  in
-  check "batch == scalar find_or_compute sequence" true (boxes_eq_bits scalar r1);
-  (* duplicate queries inside one batch are computed once *)
-  let t2 = Cache.create cfg in
-  let dup = [| boxes.(0); boxes.(0); boxes.(0) |] in
-  let widths = ref [] in
-  let g bs =
-    widths := Array.length bs :: !widths;
-    Array.map (Sym.propagate net) bs
-  in
-  let rd = Cache.find_or_compute_batch t2 ~net_id:1 ~cmd:0 dup g in
-  Alcotest.(check (list int)) "duplicates deduplicated" [ 1 ] !widths;
-  check "all duplicates answered alike" true
-    (box_eq_bits rd.(0) rd.(1) && box_eq_bits rd.(1) rd.(2));
-  (* distinct tags do not share entries *)
-  let r3 = Cache.find_or_compute_batch t ~net_id:1 ~cmd:0 ~tag:5 boxes f in
-  Alcotest.(check int) "different tag misses" 2 !calls;
-  check "tagged results still correct" true (boxes_eq_bits r1 r3);
-  (* a compute function with the wrong arity is rejected *)
-  Alcotest.check_raises "arity mismatch rejected"
-    (Invalid_argument "Cache.find_or_compute_batch: compute arity mismatch")
-    (fun () ->
-      ignore
-        (Cache.find_or_compute_batch (Cache.create cfg) ~net_id:1 ~cmd:0 boxes
-           (fun _ -> [||])))
-
-(* ----- the batched controller scorer ----- *)
-
-let two_net_controller () =
-  (* two distinct networks selected by the previous command: scores from
-     one must never be served for the other *)
+(* two distinct networks selected by the previous command: scores from
+   one must never be served for the other *)
+let two_nets () =
   let net_of bias =
     let output =
       {
@@ -480,40 +425,58 @@ let two_net_controller () =
     in
     Net.make ~input_dim:1 [| output |]
   in
+  [| net_of 1.0; net_of 0.25 |]
+
+let two_net_controller ?nn_splits nets =
   Controller.make ~period:0.5
     ~commands:(Command.make [| [| -1.0 |]; [| -0.5 |] |])
-    ~networks:[| net_of 1.0; net_of 0.25 |]
+    ~networks:nets
     ~select:(fun c -> c)
     ~pre:Controller.identity_pre ~pre_abs:Controller.identity_pre_abs
-    ~post:Controller.argmin_post ~post_abs:Controller.argmin_post_abs ()
+    ~post:Controller.argmin_post ~post_abs:Controller.argmin_post_abs
+    ?nn_splits ()
 
 let test_scores_batch () =
-  let ctrl = two_net_controller () in
+  let nets = two_nets () in
   let rng = Rng.create 19 in
   let queries =
     Array.init 9 (fun i ->
         let c = Rng.uniform rng 0.0 2.0 in
         (B.of_bounds [| (c, c +. 0.3) |], i mod 2))
   in
-  let scalar ?cache () =
-    Array.map (fun (box, pc) -> Controller.abstract_scores ?cache ctrl ~box ~prev_cmd:pc) queries
-  in
-  (* uncached: batch groups by command/network, answers bitwise-identically *)
-  check "uncached batch bitwise" true
-    (boxes_eq_bits (scalar ()) (Controller.abstract_scores_batch ctrl queries));
-  (* cached: identical to the scalar loop against an identically fresh cache *)
   let cfg = { Cache.capacity = 128; quantum = 0.005; shards = 2 } in
-  let cb = Cache.create cfg and cs = Cache.create cfg in
-  let batched = Controller.abstract_scores_batch ~cache:cb ctrl queries in
-  check "cached batch bitwise" true (boxes_eq_bits (scalar ~cache:cs ()) batched);
-  check "cache was populated" true ((Cache.stats cb).Cache.misses > 0);
-  (* second pass over a warm cache: all hits, still identical *)
-  let rebatched = Controller.abstract_scores_batch ~cache:cb ctrl queries in
-  check "warm batch bitwise" true (boxes_eq_bits batched rebatched);
-  Alcotest.(check int) "warm pass all hits" (Array.length queries)
-    ((Cache.stats cb).Cache.hits)
+  List.iter
+    (fun nn_splits ->
+      let ctrl = two_net_controller ~nn_splits nets in
+      let msg s = Printf.sprintf "%s (nn_splits=%d)" s nn_splits in
+      let scores ?cache () =
+        Array.map
+          (fun (box, pc) -> Controller.abstract_scores ?cache ctrl ~box ~prev_cmd:pc)
+          queries
+      in
+      (* the recursive split of the selected network, on the box the
+         scorer propagates: the query's own, or its quantized cache key *)
+      let expected key =
+        Array.map
+          (fun (box, pc) ->
+            ref_propagate_split T.Symbolic ~splits:nn_splits nets.(pc) (key box))
+          queries
+      in
+      check (msg "uncached scorer bitwise") true
+        (boxes_eq_bits (expected Fun.id) (scores ()));
+      let c = Cache.create cfg in
+      let cold = scores ~cache:c () in
+      check (msg "cached scorer bitwise") true
+        (boxes_eq_bits (expected (Cache.quantize cfg.Cache.quantum)) cold);
+      check (msg "cache was populated") true ((Cache.stats c).Cache.misses > 0);
+      (* second pass over a warm cache: all hits, still identical *)
+      let warm = scores ~cache:c () in
+      check (msg "warm pass bitwise") true (boxes_eq_bits cold warm);
+      Alcotest.(check int) (msg "warm pass all hits") (Array.length queries)
+        ((Cache.stats c).Cache.hits))
+    [ 0; 2 ]
 
-(* ----- end-to-end: the lockstep leaf scheduler ----- *)
+(* ----- end-to-end: batch_leaves is inert ----- *)
 
 (* the homing fixture of test_scheduler: x' = u, short horizon makes the
    rightmost cells refine to max_depth *)
@@ -630,27 +593,10 @@ let test_verify_equivalence_nn_splits () =
   check "nn_splits report identical" true (s1 = sk);
   check "journal records byte-identical" true (j1 = jk)
 
-let test_ragged_batches () =
-  (* 5 root cells drained at K = 4: the final pull is a short batch *)
-  let sys = homing_system () in
-  let cells = grid 5 in
-  let baseline = Verify.verify_partition ~config:(config 1) sys cells in
-  let r =
-    Verify.verify_partition
-      ~config:(config ~batch_leaves:4 1)
-      sys cells
-  in
-  check "ragged final batch identical" true
-    (strip_elapsed baseline = strip_elapsed r);
-  (* the batch path actually ran: grouped kernel calls were recorded *)
-  check "batched queries metric advanced" true
-    (Nncs_obs.Metrics.value (Nncs_obs.Metrics.counter "verify.fsharp_batched_queries") > 0)
-
 let test_mixed_network_frontier () =
   (* cells with different previous commands select different networks;
-     the worker's drain predicate must keep them in separate batches and
-     the verdicts must match the scalar run regardless *)
-  let ctrl = two_net_controller () in
+     two workers at any batch_leaves must match the serial verdicts *)
+  let ctrl = two_net_controller (two_nets ()) in
   let sys =
     System.make
       ~plant:(Nncs_ode.Ode.make ~dim:1 ~input_dim:1 [| E.input 0 |])
@@ -680,9 +626,9 @@ let test_mixed_network_frontier () =
         (strip_elapsed baseline = strip_elapsed r))
     [ 2; 4 ]
 
-let test_poisoned_leaf_in_batch () =
-  (* a leaf that dies mid-batch fails alone: its batchmates complete
-     with verdicts identical to the serial run *)
+let test_poisoned_leaf_alone () =
+  (* a leaf that dies fails alone at batch_leaves = 4: every other cell
+     completes with the verdict of the serial run *)
   let sys = homing_system ~horizon_steps:10 () in
   let cells = grid 8 in
   let baseline = Verify.verify_partition ~config:(config 1) sys cells in
@@ -707,23 +653,13 @@ let test_poisoned_leaf_in_batch () =
                  b.Verify.leaves)
           else
             Alcotest.(check (float 0.0))
-              "batchmate verdict matches serial" a.Verify.proved_fraction
+              "other verdict matches serial" a.Verify.proved_fraction
               b.Verify.proved_fraction)
         baseline.Verify.cells poisoned.Verify.cells)
 
-let test_batch_leaves_validated () =
-  let sys = homing_system () in
-  Alcotest.check_raises "batch_leaves >= 1 enforced"
-    (Invalid_argument "Verify.verify_partition: batch_leaves must be >= 1")
-    (fun () ->
-      ignore
-        (Verify.verify_partition
-           ~config:(config ~batch_leaves:0 1)
-           sys (grid 2)))
-
 let test_fingerprint_batch_agnostic () =
-  (* like workers, batch_leaves is a runtime knob, not
-     problem semantics: journals stay interchangeable *)
+  (* batch_leaves is inert, not problem semantics: journals stay
+     interchangeable *)
   let sys = homing_system () in
   let cells = grid 4 in
   let fp k =
@@ -745,8 +681,6 @@ let () =
           QCheck_alcotest.to_alcotest prop_kernel_matches_reference;
           QCheck_alcotest.to_alcotest prop_acas_matches_reference;
         ] );
-      ( "cache",
-        [ Alcotest.test_case "batched probe" `Quick test_cache_batch ] );
       ( "controller",
         [ Alcotest.test_case "batched scorer" `Quick test_scores_batch ] );
       ( "scheduler",
@@ -755,13 +689,10 @@ let () =
             test_verify_equivalence;
           Alcotest.test_case "equivalence with nn_splits" `Quick
             test_verify_equivalence_nn_splits;
-          Alcotest.test_case "ragged final batch" `Quick test_ragged_batches;
           Alcotest.test_case "mixed-network frontier" `Quick
             test_mixed_network_frontier;
           Alcotest.test_case "poisoned leaf fails alone" `Quick
-            test_poisoned_leaf_in_batch;
-          Alcotest.test_case "batch_leaves validated" `Quick
-            test_batch_leaves_validated;
+            test_poisoned_leaf_alone;
           Alcotest.test_case "fingerprint agnostic" `Quick
             test_fingerprint_batch_agnostic;
         ] );

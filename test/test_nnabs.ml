@@ -337,68 +337,6 @@ let prop_domain_sound domain =
       in
       soundness_case domain net box rng 100)
 
-
-(* ----- local robustness (the Section 2 NN-level property) ----- *)
-
-module Rob = Nncs_nnabs.Robustness
-
-(* a hand-built 2-class network: scores (x, 1 - x); argmin flips at
-   x = 0.5, so robustness around a point depends on its distance to 0.5 *)
-let two_class_network () =
-  let out =
-    {
-      Net.weights = Mat.init 2 1 (fun i _ -> [| 1.0; -1.0 |].(i));
-      biases = [| 0.0; 1.0 |];
-      activation = Act.Linear;
-    }
-  in
-  Net.make ~input_dim:1 [| out |]
-
-let test_robustness_verdicts () =
-  let net = two_class_network () in
-  (* far from the boundary: robust for small epsilon *)
-  (match Rob.check ~decision:Rob.Argmin net ~input:[| 0.1 |] ~epsilon:0.2 with
-  | Rob.Robust -> ()
-  | _ -> Alcotest.fail "expected robust");
-  (* ball straddling the boundary: a corner gives a counterexample *)
-  (match Rob.check ~decision:Rob.Argmin net ~input:[| 0.45 |] ~epsilon:0.2 with
-  | Rob.Counterexample c ->
-      check "counterexample flips the decision" true
-        (Rob.classify Rob.Argmin (Net.eval net c)
-        <> Rob.classify Rob.Argmin (Net.eval net [| 0.45 |]))
-  | _ -> Alcotest.fail "expected counterexample");
-  (* argmax on the same network mirrors the argmin verdicts *)
-  match Rob.check ~decision:Rob.Argmax net ~input:[| 0.9 |] ~epsilon:0.1 with
-  | Rob.Robust -> ()
-  | _ -> Alcotest.fail "expected argmax robust"
-
-let test_robustness_random_net_sound () =
-  (* whenever check says Robust, dense sampling must agree *)
-  let rng = Rng.create 71 in
-  let net = random_net rng [ 2; 10; 10; 3 ] in
-  let agree = ref 0 in
-  for _ = 1 to 20 do
-    let input = [| Rng.uniform rng (-1.0) 1.0; Rng.uniform rng (-1.0) 1.0 |] in
-    let eps = Rng.uniform rng 0.01 0.2 in
-    match Rob.check ~decision:Rob.Argmin net ~input ~epsilon:eps with
-    | Rob.Robust ->
-        incr agree;
-        let label = Rob.classify Rob.Argmin (Net.eval net input) in
-        for _ = 1 to 100 do
-          let p =
-            Array.map (fun v -> v +. Rng.uniform rng (-.eps) eps) input
-          in
-          check "sampled point keeps the label" true
-            (Rob.classify Rob.Argmin (Net.eval net p) = label)
-        done
-    | Rob.Counterexample c ->
-        let label = Rob.classify Rob.Argmin (Net.eval net input) in
-        check "counterexample is real" true
-          (Rob.classify Rob.Argmin (Net.eval net c) <> label)
-    | Rob.Unknown -> ()
-  done;
-  check "some balls proved robust" true (!agree > 0)
-
 let () =
   Alcotest.run "nnabs"
     [
@@ -428,12 +366,6 @@ let () =
             test_zero_weight_unbounded_input;
           Alcotest.test_case "output bounds shape" `Quick
             test_output_bounds_shape;
-        ] );
-      ( "robustness",
-        [
-          Alcotest.test_case "verdicts" `Quick test_robustness_verdicts;
-          Alcotest.test_case "sound on random nets" `Quick
-            test_robustness_random_net_sound;
         ] );
       ( "nnabs-properties",
         List.map QCheck_alcotest.to_alcotest

@@ -1,8 +1,9 @@
 (* The leaf frontier must be an invisible optimization: the same
    verdicts, leaves and coverage as a plain depth-first recursion for any
-   worker count and batch width, one worker visiting leaves in exactly
-   that recursion's order, faults isolated to one leaf, orphans of dead
-   workers re-queued, and mid-cell resume from journaled leaf records.
+   worker count, one worker visiting leaves in exactly that recursion's
+   order, each leaf's time its own, faults isolated to one leaf, orphans
+   of dead workers re-queued, and mid-cell resume from journaled leaf
+   records.
    Plus the partition/verify-layer correctness fixes that rode along:
    NaN-proof influence ordering and count-once progress, and the pinned
    fingerprint and journal format that existing journals depend on. *)
@@ -25,6 +26,8 @@ module Partition = Nncs.Partition
 module Journal = Nncs_resilience.Journal
 module Fault = Nncs_resilience.Fault
 module Metrics = Nncs_obs.Metrics
+module Trace = Nncs_obs.Trace
+module Clock = Nncs_obs.Clock
 
 let check = Alcotest.(check bool)
 
@@ -46,14 +49,16 @@ let homing_network () =
    cell proves at depth 0; with 3 (tau = 1.5 s) a cell needs
    [hi - 0.2 <= 1.5] to prove termination, so the rightmost cells fail
    and refine to max_depth — the skewed partition the leaf frontier is
-   built for *)
-let homing_system ?(horizon_steps = 10) () =
+   built for.  [nn_splits] bisects every F# query's box, so each query
+   is a multi-lane kernel call *)
+let homing_system ?(horizon_steps = 10) ?nn_splits () =
   let controller =
     Controller.make ~period:0.5 ~commands:homing_commands
       ~networks:[| homing_network () |]
       ~select:(fun _ -> 0)
       ~pre:Controller.identity_pre ~pre_abs:Controller.identity_pre_abs
-      ~post:Controller.argmin_post ~post_abs:Controller.argmin_post_abs ()
+      ~post:Controller.argmin_post ~post_abs:Controller.argmin_post_abs
+      ?nn_splits ()
   in
   System.make ~plant:(Nncs_ode.Ode.make ~dim:1 ~input_dim:1 [| E.input 0 |])
     ~controller
@@ -139,24 +144,76 @@ let reference (config : Verify.config) sys cells =
     cells )
 
 let test_equivalence () =
-  let sys = homing_system ~horizon_steps:3 () in
-  let cells = grid 3 in
-  let expected = reference (config 1) sys cells in
-  (* the fixture must actually refine, or the frontier is never used *)
-  let _, _, _, _, ref_cells = expected in
-  check "fixture exercises splitting" true
-    (List.exists (fun (_, _, leaves) -> List.length leaves > 1) ref_cells);
   List.iter
-    (fun (workers, batch_leaves) ->
-      check
-        (Printf.sprintf "identical report modulo elapsed (workers=%d K=%d)"
-           workers batch_leaves)
-        true
-        (strip_elapsed
-           (Verify.verify_partition ~config:(config ~batch_leaves workers) sys
-              cells)
-        = expected))
-    [ (1, 1); (1, 4); (4, 1); (4, 4) ]
+    (fun (name, sys) ->
+      let cells = grid 3 in
+      let expected = reference (config 1) sys cells in
+      (* the fixture must actually refine, or the frontier is never used *)
+      let _, _, _, _, ref_cells = expected in
+      check (name ^ ": fixture exercises splitting") true
+        (List.exists (fun (_, _, leaves) -> List.length leaves > 1) ref_cells);
+      List.iter
+        (fun workers ->
+          check
+            (Printf.sprintf "%s: identical report modulo elapsed (workers=%d)"
+               name workers)
+            true
+            (strip_elapsed
+               (Verify.verify_partition ~config:(config workers) sys cells)
+            = expected))
+        [ 1; 4 ])
+    [
+      ("homing", homing_system ~horizon_steps:3 ());
+      ("homing, nn_splits 2", homing_system ~horizon_steps:3 ~nn_splits:2 ());
+    ]
+
+(* ----- a leaf's time is its own -----
+
+   Leaves run one at a time, so on one worker their [elapsed] add up to
+   at most the run's, and the span self times of a traced run add up to
+   at most its wall time.  [batch_leaves] is inert: it must not change
+   either sum.  1 us of slack absorbs rounding. *)
+
+let test_leaf_time_own () =
+  let sys = homing_system ~nn_splits:2 () in
+  let cells = grid 8 in
+  let cfg = config ~batch_leaves:4 1 in
+  let slack = 1e-6 in
+  let report = Verify.verify_partition ~config:cfg sys cells in
+  let leaf_sum =
+    List.fold_left
+      (fun a (c : Verify.cell_report) ->
+        List.fold_left
+          (fun a (l : Verify.leaf) -> a +. l.Verify.elapsed)
+          a c.Verify.leaves)
+      0.0 report.Verify.cells
+  in
+  check
+    (Printf.sprintf "leaves' elapsed %.6f s <= run's %.6f s" leaf_sum
+       report.Verify.elapsed)
+    true
+    (leaf_sum <= report.Verify.elapsed +. slack);
+  let self_sum, wall =
+    Fun.protect
+      ~finally:(fun () ->
+        Trace.disable ();
+        Trace.clear ())
+      (fun () ->
+        Trace.enable ();
+        let t0 = Clock.monotonic_s () in
+        ignore (Verify.verify_partition ~config:cfg sys cells);
+        let wall = Clock.elapsed_s ~since:t0 in
+        Trace.disable ();
+        ( List.fold_left
+            (fun a (e : Trace.event) -> a +. e.Trace.self)
+            0.0 (Trace.events ()),
+          wall ))
+  in
+  check
+    (Printf.sprintf "span self times %.6f s <= traced wall %.6f s" self_sum
+       wall)
+    true
+    (self_sum <= wall +. slack)
 
 (* ----- the configured depth sizes no allocation -----
 
@@ -375,7 +432,10 @@ let test_fingerprint_sensitivity () =
      interchangeable between runs at any worker count *)
   Alcotest.(check string)
     "worker-agnostic" fp
-    (Verify.fingerprint ~config:{ cfg with Verify.workers = 4 } sys cells)
+    (Verify.fingerprint ~config:{ cfg with Verify.workers = 4 } sys cells);
+  Alcotest.(check string)
+    "batch_leaves-agnostic" fp
+    (Verify.fingerprint ~config:{ cfg with Verify.batch_leaves = 16 } sys cells)
 
 (* ----- stored fingerprints and journals stay valid -----
 
@@ -524,6 +584,8 @@ let () =
             test_equivalence;
           Alcotest.test_case "one worker visits depth-first" `Quick
             test_one_worker_depth_first;
+          Alcotest.test_case "a leaf's time is its own" `Quick
+            test_leaf_time_own;
           Alcotest.test_case "unbounded max_depth" `Quick
             test_unbounded_max_depth;
           Alcotest.test_case "poisoned leaf isolated" `Quick

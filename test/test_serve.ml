@@ -370,6 +370,30 @@ let jobs_counted server =
   | Some n -> J.to_int n
   | None -> Alcotest.fail "stats_json lacks a jobs field"
 
+(* "batch_leaves" was a job field while leaves could share F# kernel
+   calls; lines from older clients still carry it and must parse to the
+   same job, with the same fingerprint *)
+let test_retired_batch_leaves_field () =
+  let job extra =
+    let line =
+      Printf.sprintf
+        {|{"t":"job","id":"x","partition":{"arcs":4,"headings":1}%s}|} extra
+    in
+    match P.request_of_json (J.of_string line) with
+    | Ok (P.Job j) -> j
+    | Ok _ -> Alcotest.failf "%s: not a job" line
+    | Error e -> Alcotest.failf "%s: %s" line e
+  in
+  let plain = job "" and retired = job {|,"batch_leaves":8|} in
+  check "same job" true (plain = retired);
+  let accepted j =
+    match collect (make_server ()) j with
+    | P.Accepted { fingerprint; _ } :: _ -> fingerprint
+    | _ -> Alcotest.fail "first event must be accepted"
+  in
+  Alcotest.(check string) "same accepted fingerprint" (accepted plain)
+    (accepted retired)
+
 let test_repeat_answered_from_memo () =
   let server = make_server () in
   (* the jobs metric is process-wide: count relative to the baseline *)
@@ -1229,6 +1253,8 @@ let () =
             test_request_rejects;
           Alcotest.test_case "retired scheduler field ignored" `Quick
             test_retired_scheduler_field;
+          Alcotest.test_case "retired batch_leaves field ignored" `Quick
+            test_retired_batch_leaves_field;
           Alcotest.test_case "event round-trip" `Quick test_event_roundtrip;
         ] );
       ( "server",
