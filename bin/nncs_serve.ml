@@ -1,9 +1,8 @@
 (* The resident verification server for the ACAS Xu scenario: reads
    JSONL jobs from stdin (or a Unix-domain socket), answers each from
-   the fingerprint-keyed verdict memo, an identical in-flight run
-   (single-flight coalescing), the process-wide sharded F# cache, or a
-   full reachability run, and streams JSONL events back.  See DESIGN.md
-   §12–13 for the protocol.
+   the fingerprint-keyed verdict memo or a reachability run that shares
+   the process-wide sharded F# cache, and streams JSONL events back.
+   See DESIGN.md §12–13 for the protocol.
 
    Example session (tiny models):
      $ dune exec bin/nncs_serve.exe -- --dir /tmp/nets --tiny-models <<'EOF'

@@ -105,27 +105,6 @@ let reset () =
           Atomic.set h.h_max Float.neg_infinity)
         !histograms)
 
-let hist_json (s : hist_stats) =
-  Json.Obj
-    [
-      ("count", Json.Num (float_of_int s.count));
-      ("sum", Json.Num s.sum);
-      ("min", Json.Num (if s.count = 0 then 0.0 else s.min));
-      ("max", Json.Num (if s.count = 0 then 0.0 else s.max));
-    ]
-
-let snapshot_json () =
-  let s = snapshot () in
-  Json.Obj
-    [
-      ( "counters",
-        Json.Obj
-          (List.map (fun (n, v) -> (n, Json.Num (float_of_int v))) s.counters)
-      );
-      ( "histograms",
-        Json.Obj (List.map (fun (n, h) -> (n, hist_json h)) s.histograms) );
-    ]
-
 let jsonl_lines () =
   let s = snapshot () in
   List.filter_map

@@ -43,9 +43,6 @@ val reset : unit -> unit
 (** Zero every instrument (registrations survive).  Call only when no
     worker domain is running. *)
 
-val snapshot_json : unit -> Json.t
-(** [{ "counters": {...}, "histograms": {name: {count,sum,min,max}} }] *)
-
 val jsonl_lines : unit -> Json.t list
 (** One object per instrument, in the trace JSONL schema:
     [{"t":"counter","name":n,"value":v}] and

@@ -63,5 +63,4 @@ let check_symstates t n =
   | Some m when n > m -> raise (Exhausted Failure.Symbolic_states)
   | _ -> ()
 
-let used_ode_steps t = Atomic.get t.ode_steps
 let cancel_token t = t.cancel

@@ -62,8 +62,6 @@ val add_ode_steps : t -> int -> unit
 val check_symstates : t -> int -> unit
 (** Raises [Exhausted Symbolic_states] when [n] exceeds the cap. *)
 
-val used_ode_steps : t -> int
-
 val cancel_token : t -> Cancel.t
 (** The token this budget polls ({!Cancel.never} unless one was passed
     to {!start}). *)

@@ -27,7 +27,7 @@ type request =
   | Stats
   | Shutdown
 
-type source = Memo | Run | Coalesced
+type source = Memo | Run
 
 type lookup_status =
   | Lookup_unsafe of { k : int }
@@ -61,10 +61,7 @@ let default_config =
     max_depth = 0;
   }
 
-let source_to_string = function
-  | Memo -> "memo"
-  | Run -> "run"
-  | Coalesced -> "coalesced"
+let source_to_string = function Memo -> "memo" | Run -> "run"
 
 let lookup_status_to_string = function
   | Lookup_unsafe _ -> "unsafe"
@@ -373,7 +370,6 @@ let event_of_json j =
                  (match str_field "source" j with
                  | "memo" -> Memo
                  | "run" -> Run
-                 | "coalesced" -> Coalesced
                  | s -> fail "unknown verdict source %S" s);
                coverage = J.to_float (req_field "coverage" j);
                proved_cells = J.to_int (req_field "proved_cells" j);

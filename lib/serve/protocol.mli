@@ -41,7 +41,7 @@
 
     {b Events}: [accepted] (echoes the problem fingerprint), [progress]
     (cells done / total, only for jobs that actually run), [verdict]
-    (with ["source":"memo"|"run"|"coalesced"]), [lookup_result] (the
+    (with ["source":"memo"|"run"]), [lookup_result] (the
     answer to a [lookup]: ["status":"unsafe"|"safe"|"out_of_domain"|
     "unavailable"], with ["k"] — sweeps to contact — when unsafe),
     [cancelled] (the terminal event of a cancelled job; also the ack of
@@ -88,9 +88,6 @@ type request =
 type source =
   | Memo  (** answered from the verdict memo, no analysis ran *)
   | Run  (** this job's own analysis run *)
-  | Coalesced
-      (** single-flight: an identical job was already in flight, and
-          this one received the shared run's verdict *)
 
 type lookup_status =
   | Lookup_unsafe of { k : int }
@@ -128,12 +125,6 @@ val default_config : Nncs.Verify.config
 (** The base every job's config starts from: {!Nncs.Verify.default_config}
     with [keep_sets = false] (a server must not retain per-step flow
     pipes) and [max_depth = 0] (refinement is opt-in per job). *)
-
-val source_to_string : source -> string
-val lookup_status_to_string : lookup_status -> string
-(** ["unsafe"], ["safe"], ["out_of_domain"] or ["unavailable"] — the
-    wire encoding of the status (the [k] of an unsafe verdict travels
-    in its own field). *)
 
 val request_of_json : Nncs_obs.Json.t -> (request, string) result
 (** Total: malformed requests come back as [Error reason], never an

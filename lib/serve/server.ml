@@ -13,7 +13,6 @@ module Reach = Nncs.Reach
 
 let m_jobs = Metrics.counter "serve.jobs"
 let m_errors = Metrics.counter "serve.errors"
-let m_coalesced = Metrics.counter "serve.coalesced_jobs"
 let m_cancelled = Metrics.counter "serve.cancelled_jobs"
 let m_shed = Metrics.counter "serve.shed_jobs"
 let m_lookups = Metrics.counter "serve.lookups"
@@ -42,35 +41,27 @@ let default_config =
     backreach = None;
   }
 
-(* ----- single-flight coalescing -----
+(* ----- one job, one run -----
 
-   Every job that misses the memo runs as a party of a flight: the
-   party that created the flight is its leader and runs the analysis;
-   concurrent identical jobs (same job fingerprint, memo reads enabled)
-   join as followers and receive the leader's verdict with
-   [source = Coalesced].  Each party carries its own cancel state: the
-   flight's run token trips only when every party has cancelled (or the
-   server-side job deadline fires), so cancelling one follower never
-   kills the shared run. *)
+   Every job that misses the memo runs on its own, with its own cancel
+   token.  An identical job that arrives while one runs also runs: a
+   verdict depends only on the system, the cells and the analysis
+   settings, so it repeats the first run's verdict at the cost of extra
+   work, and the memo keeps whichever report was stored first.
 
-type party = {
-  p_id : string;
-  p_emit : Protocol.event -> unit;
-  p_t0 : float;  (* monotonic submit stamp, for per-party elapsed_s *)
-  mutable p_leader : bool;
-  mutable p_cancelled : bool;  (* under [flock]; ack already emitted *)
+   A ticket's [state] settles the race between a client's cancel and
+   the run's completion: the cancel acks only on [Running -> Acked], the
+   run emits its terminal event only on [Running -> Finished], so
+   exactly one side emits. *)
+
+type state = Running | Acked | Finished
+
+type ticket = {
+  key : int;  (* unique id in [live], for the watchdog *)
+  t0 : float;  (* monotonic submit stamp *)
+  cancel : Cancel.t;
+  mutable state : state;  (* under [lock] *)
 }
-
-type flight = {
-  f_key : int;  (* unique id in [live], for the watchdog *)
-  f_fp : string;
-  f_t0 : float;
-  f_cancel : Cancel.t;
-  mutable f_parties : party list;  (* under [flock] *)
-  mutable f_done : bool;  (* under [flock]; set before notification *)
-}
-
-type ticket = flight * party
 
 type t = {
   config : config;
@@ -78,38 +69,35 @@ type t = {
   make_cells :
     arcs:int -> headings:int -> arc_indices:int list -> Nncs.Symstate.t list;
   memo : Memo.t;
-  flock : Mutex.t;
-  inflight : (string, flight) Hashtbl.t;  (* coalescing index, by fp *)
-  live : (int, flight) Hashtbl.t;  (* every running flight, by key *)
+  lock : Mutex.t;
+  live : (int, ticket) Hashtbl.t;  (* every running job, by key *)
   mutable next_key : int;
   stopping : bool Atomic.t;
   mutable watchdog : unit Domain.t option;
 }
 
-let with_flock t f =
-  Mutex.lock t.flock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.flock) f
+let with_lock t f =
+  Mutex.lock t.lock;
+  Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
 
 (* The straggler watchdog: with [job_deadline_s] set, a domain sweeps
-   the live flights and trips the run token of any flight older than
+   the running jobs and trips the cancel token of any job older than
    the deadline.  Tripping is all it does — the terminal [cancelled]
-   events are emitted by the leader's completion path, which observes
-   the token within one budget gate. *)
+   event is emitted by the run's completion path, which observes the
+   token within one budget gate. *)
 let watchdog_loop t deadline =
   let interval = Float.min 0.05 (deadline /. 4.0) in
   while not (Atomic.get t.stopping) do
     Unix.sleepf interval;
     let now = Clock.monotonic_s () in
     let victims =
-      with_flock t (fun () ->
+      with_lock t (fun () ->
           Hashtbl.fold
-            (fun _ f acc ->
-              if (not f.f_done) && now -. f.f_t0 >= deadline then f :: acc
-              else acc)
+            (fun _ tk acc -> if now -. tk.t0 >= deadline then tk :: acc else acc)
             t.live [])
     in
     List.iter
-      (fun f -> Cancel.cancel f.f_cancel ~reason:"job deadline exceeded")
+      (fun tk -> Cancel.cancel tk.cancel ~reason:"job deadline exceeded")
       victims
   done
 
@@ -138,8 +126,7 @@ let create config ~make_system ~make_cells =
       make_cells;
       memo =
         Memo.create ?path:config.memo_path ?capacity:config.memo_capacity ();
-      flock = Mutex.create ();
-      inflight = Hashtbl.create 16;
+      lock = Mutex.create ();
       live = Hashtbl.create 16;
       next_key = 0;
       stopping = Atomic.make false;
@@ -176,69 +163,25 @@ let job_fingerprint ~config sys cells =
       (int l.Budget.max_ode_steps)
       (int l.Budget.max_symstates)
 
-let cancel_ticket t ((flight, party) : ticket) ~reason =
-  let tripped =
-    with_flock t (fun () ->
-        if flight.f_done || party.p_cancelled then false
-        else begin
-          party.p_cancelled <- true;
-          if List.for_all (fun p -> p.p_cancelled) flight.f_parties then
-            Cancel.cancel flight.f_cancel ~reason;
-          true
-        end)
+let cancel_ticket t ticket ~reason =
+  let acked =
+    with_lock t (fun () ->
+        match ticket.state with
+        | Running ->
+            ticket.state <- Acked;
+            Cancel.cancel ticket.cancel ~reason;
+            true
+        | Acked | Finished -> false)
   in
-  if tripped then Metrics.incr m_cancelled;
-  tripped
-
-(* Flight completion, always reached when the leader's firewalled run
-   returns: unregister the flight, then deliver each party its terminal
-   event — the leader's verdict carries [source = Run], followers get
-   [Coalesced], and parties that already acknowledged their own
-   cancellation get nothing.  Emission happens outside [flock]: party
-   emitters take session locks, and [flock] must stay innermost. *)
-let finish_flight t flight outcome =
-  let parties =
-    with_flock t (fun () ->
-        flight.f_done <- true;
-        (match Hashtbl.find_opt t.inflight flight.f_fp with
-        | Some f when f == flight -> Hashtbl.remove t.inflight flight.f_fp
-        | _ -> ());
-        Hashtbl.remove t.live flight.f_key;
-        flight.f_parties)
-  in
-  List.iter
-    (fun p ->
-      if not p.p_cancelled then
-        match outcome with
-        | `Report (report : Verify.report) ->
-            p.p_emit
-              (Protocol.Verdict
-                 {
-                   id = p.p_id;
-                   fingerprint = flight.f_fp;
-                   source = (if p.p_leader then Protocol.Run else Protocol.Coalesced);
-                   coverage = report.Verify.coverage;
-                   proved_cells = report.Verify.proved_cells;
-                   unknown_cells = report.Verify.unknown_cells;
-                   total_cells = report.Verify.total_cells;
-                   elapsed_s = Clock.elapsed_s ~since:p.p_t0;
-                 })
-        | `Cancelled reason ->
-            Metrics.incr m_cancelled;
-            p.p_emit (Protocol.Cancelled { id = p.p_id; reason })
-        | `Failed failure ->
-            p.p_emit
-              (Protocol.Job_error
-                 { id = p.p_id; reason = Fail.to_string failure }))
-    parties
+  if acked then Metrics.incr m_cancelled;
+  acked
 
 (* One job, firewalled.  The fingerprint is computed before consulting
-   the memo, so a hit answers without running any reachability; on a
-   miss the job becomes a flight party (leader or follower, see above).
-   A run's report is always stored unless its token tripped — a
+   the memo, so a hit answers without running any reachability.  A
+   run's report is always stored unless its token tripped — a
    cancellation-truncated report must never poison the memo — and even
-   for [memo=false] jobs, which opt out of reading the memo (and of
-   coalescing), not of feeding it. *)
+   for [memo=false] jobs, which opt out of reading the memo, not of
+   feeding it. *)
 let submit t ~emit ?on_start (job : Protocol.job) =
   Metrics.incr m_jobs;
   let t0 = Clock.monotonic_s () in
@@ -266,95 +209,78 @@ let submit t ~emit ?on_start (job : Protocol.job) =
       emit (Protocol.Job_error { id = job.id; reason = Fail.to_string failure })
   | Ok (sys, cells, config, fp) -> (
       emit (Protocol.Accepted { id = job.id; fingerprint = fp });
+      let verdict source (report : Verify.report) =
+        Protocol.Verdict
+          {
+            id = job.id;
+            fingerprint = fp;
+            source;
+            coverage = report.Verify.coverage;
+            proved_cells = report.Verify.proved_cells;
+            unknown_cells = report.Verify.unknown_cells;
+            total_cells = report.Verify.total_cells;
+            elapsed_s = Clock.elapsed_s ~since:t0;
+          }
+      in
       let memoized = if job.use_memo then Memo.find t.memo fp else None in
       match memoized with
-      | Some report ->
-          emit
-            (Protocol.Verdict
-               {
-                 id = job.id;
-                 fingerprint = fp;
-                 source = Protocol.Memo;
-                 coverage = report.Verify.coverage;
-                 proved_cells = report.Verify.proved_cells;
-                 unknown_cells = report.Verify.unknown_cells;
-                 total_cells = report.Verify.total_cells;
-                 elapsed_s = Clock.elapsed_s ~since:t0;
-               })
+      | Some report -> emit (verdict Protocol.Memo report)
       | None -> (
-          let party =
-            {
-              p_id = job.id;
-              p_emit = emit;
-              p_t0 = t0;
-              p_leader = false;
-              p_cancelled = false;
-            }
+          let ticket =
+            with_lock t (fun () ->
+                let key = t.next_key in
+                t.next_key <- key + 1;
+                let tk = { key; t0; cancel = Cancel.create (); state = Running } in
+                Hashtbl.replace t.live key tk;
+                tk)
           in
-          let role =
-            with_flock t (fun () ->
-                let incumbent =
-                  if job.use_memo then Hashtbl.find_opt t.inflight fp else None
-                in
-                match incumbent with
-                | Some flight when not flight.f_done ->
-                    flight.f_parties <- party :: flight.f_parties;
-                    Metrics.incr m_coalesced;
-                    `Follow flight
-                | _ ->
-                    party.p_leader <- true;
-                    let key = t.next_key in
-                    t.next_key <- t.next_key + 1;
-                    let flight =
-                      {
-                        f_key = key;
-                        f_fp = fp;
-                        f_t0 = t0;
-                        f_cancel = Cancel.create ();
-                        f_parties = [ party ];
-                        f_done = false;
-                      }
-                    in
-                    if job.use_memo then Hashtbl.replace t.inflight fp flight;
-                    Hashtbl.replace t.live key flight;
-                    `Lead flight)
+          (* outside [lock]: the callback takes session locks *)
+          Option.iter (fun f -> f ticket) on_start;
+          let result =
+            Firewall.protect ~classify:Reach.classify (fun () ->
+                Verify.verify_partition ~cancel:ticket.cancel ~config
+                  ~progress:(fun cells_done total ->
+                    emit (Protocol.Progress { id = job.id; cells_done; total }))
+                  sys cells)
           in
-          (* outside [flock]: the callback takes session locks *)
-          (match (on_start, role) with
-          | Some f, (`Lead flight | `Follow flight) -> f (flight, party)
-          | None, _ -> ());
-          match role with
-          | `Follow _ ->
-              (* the dispatcher is free; the shared run's completion
-                 will deliver this party's verdict *)
-              ()
-          | `Lead flight ->
-              let result =
-                Firewall.protect ~classify:Reach.classify (fun () ->
-                    Verify.verify_partition ~cancel:flight.f_cancel ~config
-                      ~progress:(fun cells_done total ->
-                        emit
-                          (Protocol.Progress
-                             { id = job.id; cells_done; total }))
-                      sys cells)
-              in
-              let outcome =
-                match Cancel.reason flight.f_cancel with
-                | Some reason ->
-                    (* the report (if any) is cancellation-truncated:
-                       unknown-heavy, not what an uncancelled run would
-                       answer — never memoized *)
-                    `Cancelled reason
-                | None -> (
-                    match result with
-                    | Ok report ->
-                        Memo.store t.memo fp report;
-                        `Report report
-                    | Error failure ->
-                        Metrics.incr m_errors;
-                        `Failed failure)
-              in
-              finish_flight t flight outcome))
+          let outcome =
+            match Cancel.reason ticket.cancel with
+            | Some reason ->
+                (* the report (if any) is cancellation-truncated:
+                   unknown-heavy, not what an uncancelled run would
+                   answer — never memoized *)
+                `Cancelled reason
+            | None -> (
+                match result with
+                | Ok report ->
+                    Memo.store t.memo fp report;
+                    `Report report
+                | Error failure ->
+                    Metrics.incr m_errors;
+                    `Failed failure)
+          in
+          let finished =
+            with_lock t (fun () ->
+                Hashtbl.remove t.live ticket.key;
+                match ticket.state with
+                | Running ->
+                    ticket.state <- Finished;
+                    true
+                | Acked | Finished -> false)
+          in
+          (* a job whose cancel was acked already has its terminal
+             event; emission happens outside [lock], which must stay
+             innermost because emitters take session locks *)
+          if finished then
+            match outcome with
+            | `Report report -> emit (verdict Protocol.Run report)
+            | `Cancelled reason ->
+                Metrics.incr m_cancelled;
+                emit (Protocol.Cancelled { id = job.id; reason })
+            | `Failed failure ->
+                emit
+                  (Protocol.Job_error
+                     { id = job.id; reason = Fail.to_string failure })))
 
 let lookup t fp = Memo.peek t.memo fp
 
@@ -392,15 +318,14 @@ let stats_json t =
               (Array.to_list (Array.map num_int (Cache.shard_sizes cache))) );
         ]
   in
-  let live_flights = with_flock t (fun () -> Hashtbl.length t.live) in
+  let running_jobs = with_lock t (fun () -> Hashtbl.length t.live) in
   J.Obj
     ([
        ("jobs", num_int (Metrics.value m_jobs));
        ("errors", num_int (Metrics.value m_errors));
-       ("coalesced_jobs", num_int (Metrics.value m_coalesced));
        ("cancelled_jobs", num_int (Metrics.value m_cancelled));
        ("shed_jobs", num_int (Metrics.value m_shed));
-       ("live_flights", num_int live_flights);
+       ("running_jobs", num_int running_jobs);
        ("lookups", num_int (Metrics.value m_lookups));
        ("backreach_table", J.Bool (Option.is_some t.config.backreach));
        ("memo_entries", num_int (Memo.size t.memo));
@@ -569,6 +494,11 @@ let run t ic oc =
           | Some (JQueued _) | Some JDone -> `Finished
           | None -> `Unknown)
     in
+    let nack what =
+      emit
+        (Protocol.Job_error
+           { id = ""; reason = Printf.sprintf "cancel %S: %s" id what })
+    in
     match action with
     | `Queued ->
         Metrics.incr m_cancelled;
@@ -576,24 +506,9 @@ let run t ic oc =
     | `Active ticket ->
         if cancel_ticket t ticket ~reason:"cancelled by client" then
           emit (Protocol.Cancelled { id; reason = "cancelled by client" })
-        else
-          emit
-            (Protocol.Job_error
-               {
-                 id = "";
-                 reason = Printf.sprintf "cancel %S: job already finished" id;
-               })
-    | `Finished ->
-        emit
-          (Protocol.Job_error
-             {
-               id = "";
-               reason = Printf.sprintf "cancel %S: job already finished" id;
-             })
-    | `Unknown ->
-        emit
-          (Protocol.Job_error
-             { id = ""; reason = Printf.sprintf "cancel %S: unknown job id" id })
+        else nack "job already finished"
+    | `Finished -> nack "job already finished"
+    | `Unknown -> nack "unknown job id"
   in
   let stop_accepting () =
     with_qlock (fun () ->
@@ -601,42 +516,43 @@ let run t ic oc =
         Condition.broadcast qcond)
   in
   (* [None] only once the queue is drained AND no more jobs can arrive:
-     queued work survives a shutdown request (graceful drain). *)
+     queued work survives a shutdown request (graceful drain).  An item
+     cancelled while queued is skipped here, under [qlock] like every
+     other access to its dropped flag: its [cancelled] ack is already
+     out. *)
   let dequeue () =
     with_qlock (fun () ->
         let rec wait () =
-          if not (Queue.is_empty queue) then Some (Queue.pop queue)
-          else if not !accepting then None
-          else begin
-            Condition.wait qcond qlock;
-            wait ()
-          end
+          match Queue.take_opt queue with
+          | Some item when !(item.qi_dropped) -> wait ()
+          | Some _ as next -> next
+          | None when not !accepting -> None
+          | None ->
+              Condition.wait qcond qlock;
+              wait ()
         in
         wait ())
   in
   let run_item item =
-    if !(item.qi_dropped) then ()
-      (* cancelled while queued; its [cancelled] ack is already out *)
-    else
-      submit t ~emit item.qi_job ~on_start:(fun ticket ->
-          (* the job is now a flight party; record the ticket so a
-             [cancel] request can reach the run.  A cancel that raced
-             the dispatch (dropped set between dequeue and here) is
-             honoured by tripping the fresh ticket immediately. *)
-          let dropped =
-            with_qlock (fun () ->
-                if !(item.qi_dropped) then true
-                else begin
-                  (match Hashtbl.find_opt registry item.qi_job.Protocol.id with
-                  | Some (JQueued d) when d == item.qi_dropped ->
-                      Hashtbl.replace registry item.qi_job.Protocol.id
-                        (JActive ticket)
-                  | _ -> ());
-                  false
-                end)
-          in
-          if dropped then
-            ignore (cancel_ticket t ticket ~reason:"cancelled while queued"))
+    submit t ~emit item.qi_job ~on_start:(fun ticket ->
+        (* the job now has a run; record its ticket so a [cancel]
+           request can reach it.  A cancel that raced the dispatch
+           (dropped set between dequeue and here) is honoured by
+           tripping the fresh ticket immediately. *)
+        let dropped =
+          with_qlock (fun () ->
+              if !(item.qi_dropped) then true
+              else begin
+                (match Hashtbl.find_opt registry item.qi_job.Protocol.id with
+                | Some (JQueued d) when d == item.qi_dropped ->
+                    Hashtbl.replace registry item.qi_job.Protocol.id
+                      (JActive ticket)
+                | _ -> ());
+                false
+              end)
+        in
+        if dropped then
+          ignore (cancel_ticket t ticket ~reason:"cancelled while queued"))
   in
   let rec dispatch () =
     match dequeue () with
@@ -715,22 +631,13 @@ let run t ic oc =
       try Domain.join d with _ -> ())
     dispatchers;
   (* recovery drain: if dispatchers died with items still queued, run
-     them here so every accepted job reaches a terminal event *)
-  (try dispatch () with _ -> ());
-  (* followers coalesced onto another session's flight have no local
-     dispatcher to wait on: poll the registry until every accepted job
-     is terminal.  Sleep-polling mirrors the leaf scheduler's choice —
-     immune to lost wakeups from dying emitters. *)
-  let pending () =
-    with_qlock (fun () ->
-        Hashtbl.fold
-          (fun _ st acc ->
-            acc || match st with JDone -> false | JQueued _ | JActive _ -> true)
-          registry false)
-  in
-  while pending () do
-    Unix.sleepf 0.002
-  done;
+     them here; a crash here costs only the item it hit, so the drain
+     goes on until the queue is empty *)
+  let rec recover () = try dispatch () with _ -> recover () in
+  recover ();
+  (* every job this session accepted ran on its dispatchers or in the
+     drain, or was answered inline (shed, dropped while queued, cancel
+     acked), so each has had its terminal event by now *)
   emit Protocol.Bye;
   !outcome
 

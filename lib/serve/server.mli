@@ -1,12 +1,9 @@
 (** The resident multi-domain verification server.
 
-    Answers {!Protocol.job}s from four tiers (see DESIGN.md §12–13):
+    Answers {!Protocol.job}s from three tiers (see DESIGN.md §12–13):
 
     + the fingerprint-keyed verdict {!Memo} — an identical query returns
       its stored report without touching the reachability pipeline;
-    + single-flight coalescing — a job identical to one {e currently
-      running} joins it as a follower and receives the shared run's
-      verdict ([source = coalesced]) instead of racing a duplicate run;
     + the process-wide sharded abstraction cache
       ({!Nncs_nnabs.Cache.shared}), injected into every job's reach
       config, so F# boxes computed for one job warm the next;
@@ -27,9 +24,10 @@
     server-side [job_deadline_s] watchdog) trips the run's cooperative
     {!Nncs_resilience.Cancel} token, which the reach loop polls at its
     existing budget gates — the run unwinds within one control step of
-    one leaf and the job ends with a terminal [cancelled] event.
-    Cancelling one follower of a coalesced flight never kills the
-    shared run: the token trips only once every party has cancelled. *)
+    one leaf and the job ends with a terminal [cancelled] event.  Every
+    job that misses the memo has its own run and its own token: a job
+    identical to one still running runs too, and answers the same
+    verdict. *)
 
 type config = {
   dispatchers : int;  (** concurrent jobs (>= 1); each job may additionally
@@ -67,7 +65,7 @@ val default_config : config
 type t
 
 type ticket
-(** A handle to one submitted job's in-flight run, delivered through
+(** A handle to one submitted job's run, delivered through
     [submit ~on_start]; feed it to {!cancel_ticket}. *)
 
 val create :
@@ -96,28 +94,22 @@ val submit :
     when the job runs with [workers > 1] (progress fires from worker
     domains).
 
-    On a memo miss the job becomes a flight party and [on_start] fires
-    with its cancellation {!ticket} before any reachability runs.  If
-    an identical job (same fingerprint, memo reads enabled) is already
-    in flight, [submit] registers the new job as a follower and
-    {e returns immediately}: the shared run's completion later invokes
-    this job's [emit] with a [source = coalesced] verdict (or its
-    terminal [cancelled]/[error]) from the leader's domain.  Jobs with
-    [memo = false] neither join nor found coalescable flights: they
-    always run privately (but still feed the memo).
+    On a memo miss [on_start] fires with the job's cancellation
+    {!ticket} before any reachability runs, and the job runs to its
+    terminal event on the calling domain, even when an identical job is
+    running elsewhere.  Jobs with [memo = false] skip the memo read but
+    still feed the memo.
 
-    A run whose cancel token tripped emits [cancelled] to every party
-    that has not already acknowledged its own cancellation, and its
-    truncated report is {e not} memoized. *)
+    A run whose cancel token tripped emits [cancelled], unless
+    {!cancel_ticket} already acknowledged the cancel, and its truncated
+    report is {e not} memoized. *)
 
 val cancel_ticket : t -> ticket -> reason:string -> bool
-(** Mark the ticket's party cancelled; trips the underlying run's token
-    once every party of its flight is cancelled.  Returns [false] if
-    the party was already cancelled or its flight already finished —
-    the caller owes the job no [cancelled] event in that case.  The
-    caller that receives [true] owes the job its terminal [cancelled]
-    event: the run itself stays silent for parties that were
-    individually cancelled. *)
+(** Trip the run's cancel token, unless the run has finished or a
+    cancel was already acknowledged; returns [false] in those cases,
+    and the caller owes the job no [cancelled] event.  The caller that
+    receives [true] owes the job its terminal [cancelled] event: the
+    run itself then stays silent. *)
 
 val lookup : t -> string -> Nncs.Verify.report option
 (** The memoized report for a job fingerprint (as emitted in [accepted]
@@ -125,7 +117,7 @@ val lookup : t -> string -> Nncs.Verify.report option
     benches compare served verdicts against direct runs. *)
 
 val stats_json : t -> Nncs_obs.Json.t
-(** Jobs handled, coalesced/cancelled/shed counts, live flights, memo
+(** Jobs handled, error/cancelled/shed counts, running jobs, memo
     size/hits/evictions, abstraction-cache hit rate and shard sizes. *)
 
 val run : t -> in_channel -> out_channel -> [ `Shutdown | `Eof ]
@@ -137,9 +129,9 @@ val run : t -> in_channel -> out_channel -> [ `Shutdown | `Eof ]
     served from the in-memory backreach table ahead of the job queue
     and the verdict memo, so repeated probes never enter the run path
     (a [stats] or [lookup_result] reply can therefore overtake verdicts
-    of still-running jobs).  On [shutdown] or end of
-    input the queue is drained, dispatchers joined, coalesced followers
-    of foreign flights awaited, and a final [bye] emitted; the return
+    of still-running jobs).  On [shutdown] or end of input the queue is
+    drained and the dispatchers joined, so every job of the session has
+    had its terminal event when the final [bye] is emitted; the return
     value says which of the two ended the session (a socket server
     keeps accepting after [`Eof], stops after [`Shutdown]).
 
@@ -149,10 +141,10 @@ val run : t -> in_channel -> out_channel -> [ `Shutdown | `Eof ]
       with an empty id.  Neither kills the session.
     - {b Admission control}: with [max_queue = Some k], a job arriving
       on a full queue is shed with an [overloaded] error before any
-      work happens.  Jobs with an empty id, or an id still in flight in
-      this session, are rejected with an [error] carrying an empty id
-      (naming the offender in the reason): a terminal error under the
-      original id would displace the first job's verdict.
+      work happens.  Jobs with an empty id, or an id still queued or
+      running in this session, are rejected with an [error] carrying
+      an empty id (naming the offender in the reason): a terminal error
+      under the original id would displace the first job's verdict.
     - {b Cancellation}: [cancel] of a queued job drops it before
       dispatch; of a running job, trips its token.  Either way the
       job's terminal event is [cancelled], emitted immediately as the
@@ -167,8 +159,9 @@ val run : t -> in_channel -> out_channel -> [ `Shutdown | `Eof ]
       queue and joining the dispatchers.
     - {b Dispatcher crashes}: a fatal exception killing a dispatcher
       domain is absorbed at join; items it left behind are drained on
-      the session domain, so every accepted job still reaches a
-      terminal event and the session still ends with [bye]. *)
+      the session domain, where a further crash costs only the item it
+      hit, so every accepted job still reaches a terminal event and the
+      session still ends with [bye]. *)
 
 val close : t -> unit
 (** Stop the watchdog (if any), compact and close the memo journal. *)

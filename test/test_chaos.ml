@@ -15,10 +15,10 @@
      ended;
    - per (session, id): at most one terminal event per submitted
      incarnation, and at least one once the id was accepted;
-   - every [verdict] — run, memo or coalesced — agrees exactly with a
-     direct [Verify.verify_partition] of the same job spec, and the
-     memoized report behind its fingerprint is leaf-for-leaf identical
-     to the direct run. *)
+   - every [verdict] — run or memo — agrees exactly with a direct
+     [Verify.verify_partition] of the same job spec, and the memoized
+     report behind its fingerprint is leaf-for-leaf identical to the
+     direct run. *)
 
 module B = Nncs_interval.Box
 module Net = Nncs_nn.Network

@@ -231,7 +231,14 @@ let test_event_roundtrip () =
       match P.event_of_json (J.of_string (J.to_string (P.event_to_json e))) with
       | Ok e' -> check "event round-trips" true (e = e')
       | Error msg -> Alcotest.fail msg)
-    events
+    events;
+  (* the server no longer emits "coalesced": an old line naming it is
+     refused, not read as another source *)
+  check "retired coalesced source refused" true
+    (P.event_of_json
+       (J.of_string
+          {|{"t":"verdict","id":"c","fingerprint":"00ff","source":"coalesced","coverage":87.5,"proved_cells":7,"unknown_cells":1,"total_cells":8,"elapsed_s":0.25}|})
+    = Error {|unknown verdict source "coalesced"|})
 
 (* ----- the served pipeline on the homing loop of test_verify ----- *)
 
@@ -480,10 +487,10 @@ let test_empty_partition_rejected () =
   | [ P.Job_error { id = "empty"; _ } ] -> ()
   | _ -> Alcotest.fail "empty cell list must yield an error event"
 
-(* ----- cooperative cancellation and single-flight coalescing ----- *)
+(* ----- cooperative cancellation ----- *)
 
 (* cancel a running job from its first progress event: the acknowledged
-   party receives no further events from the flight, the truncated
+   job receives no further terminal event from its run, the truncated
    report never reaches the memo, and an identical retry re-runs *)
 let test_cancel_running_job () =
   let server = make_server () in
@@ -506,10 +513,10 @@ let test_cancel_running_job () =
   check "mid-run cancel acknowledged" true !acked;
   (match !ticket with
   | Some tk ->
-      check "second cancel of the same party nacked" false
+      check "second cancel of the same job nacked" false
         (Server.cancel_ticket server tk ~reason:"again")
   | None -> Alcotest.fail "on_start never fired");
-  check "acknowledged party gets no terminal event" true
+  check "acknowledged job gets no terminal event" true
     (not
        (List.exists
           (function
@@ -549,27 +556,32 @@ let stat_int server field =
   | Some n -> J.to_int n
   | None -> Alcotest.fail ("stats_json lacks " ^ field)
 
-(* park a leader inside its first progress event until [gate] flips, so
-   concurrent identical jobs deterministically find its flight in the
-   in-flight index instead of racing it or hitting the memo *)
-let spawn_gated_leader server ~id ~record ~gate ~started =
+(* park a job inside its first progress event until [gate] flips, so an
+   identical job submitted meanwhile deterministically overlaps its run
+   instead of racing it or hitting the memo *)
+let spawn_gated_job server ~id ~record ~gate ~parked ~ticket =
   Domain.spawn (fun () ->
       Server.submit server
         ~emit:(fun e ->
           record id e;
           match e with
           | P.Progress _ ->
+              Atomic.set parked true;
               while not (Atomic.get gate) do
                 Unix.sleepf 0.001
               done
           | _ -> ())
-        ~on_start:(fun _ -> Atomic.set started true)
+        ~on_start:(fun tk -> Atomic.set ticket (Some tk))
         (homing_job ~id ()))
 
-let test_coalesced_followers () =
+(* an identical job submitted while the first one runs is not folded
+   into it: it runs on its own and answers the same verdict, and
+   cancelling the first job afterwards touches neither that verdict
+   nor its memo entry *)
+let test_identical_jobs_run_apart () =
   let server = make_server () in
-  let coalesced0 = stat_int server "coalesced_jobs" in
-  let gate = Atomic.make false and started = Atomic.make false in
+  let gate = Atomic.make false and parked = Atomic.make false in
+  let ticket = Atomic.make None in
   let lock = Mutex.create () in
   let tagged = ref [] in
   let record tag e =
@@ -577,96 +589,60 @@ let test_coalesced_followers () =
     tagged := (tag, e) :: !tagged;
     Mutex.unlock lock
   in
-  let leader = spawn_gated_leader server ~id:"lead" ~record ~gate ~started in
-  wait_until (fun () -> Atomic.get started) "leader flight registration";
-  (* identical jobs while the leader is parked: both join as followers,
-     and their submit returns without running any reachability *)
-  let follower tag =
-    Domain.spawn (fun () ->
-        Server.submit server ~emit:(record tag) (homing_job ~id:tag ()))
+  let events_of tag =
+    Mutex.lock lock;
+    let evs = List.rev !tagged in
+    Mutex.unlock lock;
+    List.filter_map (fun (t, e) -> if t = tag then Some e else None) evs
   in
-  let fb = follower "fb" and fc = follower "fc" in
-  Domain.join fb;
-  Domain.join fc;
-  Alcotest.(check int)
-    "both jobs coalesced" 2
-    (stat_int server "coalesced_jobs" - coalesced0);
-  Atomic.set gate true;
-  Domain.join leader;
-  let events = List.rev !tagged in
-  let verdict_of tag =
-    match
-      List.filter_map
-        (fun (t, e) -> if t = tag then verdict_payload e else None)
-        events
-    with
+  let first =
+    spawn_gated_job server ~id:"first" ~record ~gate ~parked ~ticket
+  in
+  wait_until (fun () -> Atomic.get parked) "the first job's first progress";
+  Alcotest.(check int) "one running job while the first is parked" 1
+    (stat_int server "running_jobs");
+  let second =
+    Domain.spawn (fun () ->
+        Server.submit server ~emit:(record "second") (homing_job ~id:"second" ()))
+  in
+  Domain.join second;
+  let v =
+    match List.filter_map verdict_payload (events_of "second") with
     | [ v ] -> v
-    | _ -> Alcotest.fail ("expected exactly one verdict for " ^ tag)
+    | _ -> Alcotest.fail "the second job must return with its own verdict"
   in
-  let vl = verdict_of "lead" in
-  let vb = verdict_of "fb" and vc = verdict_of "fc" in
-  check "leader ran the pipeline" true (vl.vsrc = P.Run);
-  check "followers coalesced" true
-    (vb.vsrc = P.Coalesced && vc.vsrc = P.Coalesced);
-  Alcotest.(check string) "one flight, one fingerprint" vl.vfp vb.vfp;
-  Alcotest.(check string) "one flight, one fingerprint (2)" vl.vfp vc.vfp;
-  check "all parties share the shared run's verdict" true
-    (vl.vcov = vb.vcov && vl.vcov = vc.vcov && vl.vproved = vb.vproved);
-  check "the shared report reached the memo" true
-    (Option.is_some (Server.lookup server vl.vfp))
-
-let test_follower_cancel_spares_run () =
-  let server = make_server () in
-  let gate = Atomic.make false and started = Atomic.make false in
-  let lock = Mutex.create () in
-  let tagged = ref [] in
-  let record tag e =
-    Mutex.lock lock;
-    tagged := (tag, e) :: !tagged;
-    Mutex.unlock lock
-  in
-  let leader = spawn_gated_leader server ~id:"lead2" ~record ~gate ~started in
-  wait_until (fun () -> Atomic.get started) "leader flight registration";
-  let fticket = ref None in
-  let fb =
-    Domain.spawn (fun () ->
-        Server.submit server ~emit:(record "quitter")
-          ~on_start:(fun tk -> fticket := Some tk)
-          (homing_job ~id:"quitter" ()))
-  in
-  let fc =
-    Domain.spawn (fun () ->
-        Server.submit server ~emit:(record "stayer") (homing_job ~id:"stayer" ()))
-  in
-  Domain.join fb;
-  Domain.join fc;
-  (match !fticket with
-  | None -> Alcotest.fail "follower never got a ticket"
+  check "the second job ran on its own" true (v.vsrc = P.Run);
+  Alcotest.(check int) "still one running job" 1
+    (stat_int server "running_jobs");
+  (match events_of "first" with
+  | P.Accepted { fingerprint; _ } :: _ ->
+      Alcotest.(check string) "identical jobs share a fingerprint" fingerprint
+        v.vfp
+  | _ -> Alcotest.fail "first event must be accepted");
+  (match Atomic.get ticket with
+  | None -> Alcotest.fail "on_start never fired"
   | Some tk ->
-      check "follower cancel acknowledged" true
-        (Server.cancel_ticket server tk ~reason:"one client left"));
+      check "cancel of the parked job acknowledged" true
+        (Server.cancel_ticket server tk ~reason:"client left"));
   Atomic.set gate true;
-  Domain.join leader;
-  let events = List.rev !tagged in
-  let verdicts tag =
-    List.filter_map
-      (fun (t, e) -> if t = tag then verdict_payload e else None)
-      events
-  in
-  (match verdicts "lead2" with
-  | [ v ] -> check "shared run completed as a full run" true (v.vsrc = P.Run)
-  | _ -> Alcotest.fail "leader must get exactly one verdict");
-  (match verdicts "stayer" with
-  | [ v ] ->
-      check "remaining follower still coalesced" true (v.vsrc = P.Coalesced);
-      check "uncancelled run reached the memo" true
-        (Option.is_some (Server.lookup server v.vfp))
-  | _ -> Alcotest.fail "remaining follower must get exactly one verdict");
-  check "cancelled follower got nothing past accepted" true
+  Domain.join first;
+  check "the cancelled job gets no terminal event" true
     (List.for_all
-       (fun (t, e) ->
-         t <> "quitter" || match e with P.Accepted _ -> true | _ -> false)
-       events)
+       (function P.Accepted _ | P.Progress _ -> true | _ -> false)
+       (events_of "first"));
+  Alcotest.(check int) "no running job after" 0 (stat_int server "running_jobs");
+  let direct =
+    Verify.verify_partition ~config:P.default_config (homing_system ())
+      (homing_cells 8)
+  in
+  Alcotest.(check (float 0.0))
+    "the second job's verdict is the direct one" direct.Verify.coverage v.vcov;
+  Alcotest.(check int) "proved cells" direct.Verify.proved_cells v.vproved;
+  match Server.lookup server v.vfp with
+  | None -> Alcotest.fail "the second job's report never reached the memo"
+  | Some stored ->
+      check "memoized leaf verdicts = direct leaf verdicts" true
+        (leaf_verdicts stored = leaf_verdicts direct)
 
 (* ----- memo journal: persistence across restart, torn tail ----- *)
 
@@ -1125,6 +1101,39 @@ let test_session_overload_shed () =
         "every trailing job either shed or served" 3
         (List.length shed + List.length served))
 
+(* a fatal crash kills the only dispatcher and a second one hits the
+   session's recovery drain: the drain goes on past it, so the job
+   queued behind both still runs and the session still ends *)
+let test_session_drain_survives_crash () =
+  Fun.protect ~finally:Fault.reset (fun () ->
+      List.iter
+        (fun key -> Fault.arm ~site:"serve.job" ~key (fun () -> Out_of_memory))
+        [ "boom1"; "boom2" ];
+      let outcome, events =
+        run_session ~dispatchers:1
+          [
+            {|{"t":"job","id":"boom1","partition":{"arcs":2,"headings":1}}|};
+            {|{"t":"job","id":"boom2","partition":{"arcs":2,"headings":1}}|};
+            {|{"t":"job","id":"after","partition":{"arcs":2,"headings":1}}|};
+            {|{"t":"shutdown"}|};
+          ]
+      in
+      check "session shuts down" true (outcome = `Shutdown);
+      List.iter
+        (fun id ->
+          check (id ^ " reported as a dispatcher crash") true
+            (List.exists
+               (function
+                 | P.Job_error { id = i; reason } ->
+                     i = id && contains reason "dispatcher crashed"
+                 | _ -> false)
+               events))
+        [ "boom1"; "boom2" ];
+      check "the job queued behind both crashes runs" true
+        (List.exists
+           (fun v -> v.vid = "after")
+           (List.filter_map verdict_payload events)))
+
 let test_session_line_cap () =
   let outcome, events =
     run_session ~dispatchers:1 ~max_line_bytes:64
@@ -1274,10 +1283,8 @@ let () =
         [
           Alcotest.test_case "running job cancelled" `Quick
             test_cancel_running_job;
-          Alcotest.test_case "identical jobs coalesce" `Quick
-            test_coalesced_followers;
-          Alcotest.test_case "follower cancel spares the run" `Quick
-            test_follower_cancel_spares_run;
+          Alcotest.test_case "identical jobs run apart" `Quick
+            test_identical_jobs_run_apart;
         ] );
       ( "memo",
         [
@@ -1301,6 +1308,8 @@ let () =
           Alcotest.test_case "duplicate id rejected" `Quick
             test_session_duplicate_id_rejected;
           Alcotest.test_case "overload shed" `Quick test_session_overload_shed;
+          Alcotest.test_case "drain survives a crash" `Quick
+            test_session_drain_survives_crash;
           Alcotest.test_case "line cap" `Quick test_session_line_cap;
           Alcotest.test_case "backreach lookup fast path" `Quick
             test_session_lookup_fast_path;
