@@ -11,7 +11,8 @@ let of_bounds b =
   of_intervals (Array.map (fun (lo, hi) -> Interval.make lo hi) b)
 
 let dim b = Array.length b
-let get b i = b.(i)
+(* [(b : t)]: a polymorphic [get] is a generic array read, never inlined *)
+let get (b : t) i = b.(i)
 let to_array b = Array.copy b
 let lo b = Array.map Interval.lo b
 let hi b = Array.map Interval.hi b
@@ -35,7 +36,7 @@ let corners b =
 let map f b = Array.map f b
 let mapi f b = Array.mapi f b
 
-let replace b i x =
+let replace (b : t) i x =
   let c = Array.copy b in
   c.(i) <- x;
   c

@@ -234,44 +234,53 @@ let submit t ~emit ?on_start (job : Protocol.job) =
                 Hashtbl.replace t.live key tk;
                 tk)
           in
-          (* outside [lock]: the callback takes session locks *)
-          Option.iter (fun f -> f ticket) on_start;
-          let result =
-            Firewall.protect ~classify:Reach.classify (fun () ->
-                Verify.verify_partition ~cancel:ticket.cancel ~config
-                  ~progress:(fun cells_done total ->
-                    emit (Protocol.Progress { id = job.id; cells_done; total }))
-                  sys cells)
+          (* settled on every exit: a fatal exception the firewall
+             re-raises (Out_of_memory, Sys.Break) would otherwise leave
+             the ticket in [live], running forever for [stats] and the
+             watchdog *)
+          let finished = ref false in
+          let settle () =
+            finished :=
+              with_lock t (fun () ->
+                  Hashtbl.remove t.live ticket.key;
+                  match ticket.state with
+                  | Running ->
+                      ticket.state <- Finished;
+                      true
+                  | Acked | Finished -> false)
           in
           let outcome =
-            match Cancel.reason ticket.cancel with
-            | Some reason ->
-                (* the report (if any) is cancellation-truncated:
-                   unknown-heavy, not what an uncancelled run would
-                   answer — never memoized *)
-                `Cancelled reason
-            | None -> (
-                match result with
-                | Ok report ->
-                    Memo.store t.memo fp report;
-                    `Report report
-                | Error failure ->
-                    Metrics.incr m_errors;
-                    `Failed failure)
-          in
-          let finished =
-            with_lock t (fun () ->
-                Hashtbl.remove t.live ticket.key;
-                match ticket.state with
-                | Running ->
-                    ticket.state <- Finished;
-                    true
-                | Acked | Finished -> false)
+            Fun.protect ~finally:settle (fun () ->
+                (* outside [lock]: the callback takes session locks *)
+                Option.iter (fun f -> f ticket) on_start;
+                let result =
+                  Firewall.protect ~classify:Reach.classify (fun () ->
+                      Verify.verify_partition ~cancel:ticket.cancel ~config
+                        ~progress:(fun cells_done total ->
+                          emit
+                            (Protocol.Progress
+                               { id = job.id; cells_done; total }))
+                        sys cells)
+                in
+                match Cancel.reason ticket.cancel with
+                | Some reason ->
+                    (* the report (if any) is cancellation-truncated:
+                       unknown-heavy, not what an uncancelled run would
+                       answer — never memoized *)
+                    `Cancelled reason
+                | None -> (
+                    match result with
+                    | Ok report ->
+                        Memo.store t.memo fp report;
+                        `Report report
+                    | Error failure ->
+                        Metrics.incr m_errors;
+                        `Failed failure))
           in
           (* a job whose cancel was acked already has its terminal
              event; emission happens outside [lock], which must stay
              innermost because emitters take session locks *)
-          if finished then
+          if !finished then
             match outcome with
             | `Report report -> emit (verdict Protocol.Run report)
             | `Cancelled reason ->

@@ -102,7 +102,11 @@ val submit :
 
     A run whose cancel token tripped emits [cancelled], unless
     {!cancel_ticket} already acknowledged the cancel, and its truncated
-    report is {e not} memoized. *)
+    report is {e not} memoized.
+
+    A fatal exception the firewall re-raises ([Out_of_memory],
+    [Sys.Break]) propagates to the caller without a terminal event, and
+    the job no longer counts as running. *)
 
 val cancel_ticket : t -> ticket -> reason:string -> bool
 (** Trip the run's cancel token, unless the run has finished or a

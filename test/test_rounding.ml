@@ -149,6 +149,75 @@ let test_next_specials () =
   check "down 0 is -min subnormal" true
     (R.next_down 0.0 = -.Int64.float_of_bits 1L)
 
+(* ----- next_up / next_down bit for bit ----- *)
+
+(* [next_up]/[next_down] are float arithmetic with branches for the
+   tiny, the scaled and the non-finite ranges; the Stdlib's
+   [Float.succ]/[Float.pred] (C nextafter) are the reference.  Bits are
+   compared, so -0 and +0 differ; a NaN only has to give a NaN, since
+   the reference may quieten a signalling one. *)
+let same_bits a b =
+  (Float.is_nan a && Float.is_nan b)
+  || Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let check_nudges x =
+  let check name got want =
+    if not (same_bits got want) then
+      Alcotest.failf "%s %h (bits %016Lx): got %h (bits %016Lx), want %h" name
+        x (Int64.bits_of_float x) got (Int64.bits_of_float got) want
+  in
+  check "next_up" (R.next_up x) (Float.succ x);
+  check "next_down" (R.next_down x) (Float.pred x)
+
+let float_of_fields ~neg ~exp ~mant =
+  let sign = if neg then Int64.min_int else 0L in
+  Int64.(float_of_bits (logor sign (logor (shift_left (of_int exp) 52) mant)))
+
+let test_next_bits () =
+  (* every biased exponent, subnormals, infinities and NaNs included,
+     with mantissas at both ends and the middle of the binade *)
+  let mantissas =
+    Int64.
+      [
+        0L; 1L; 2L;
+        sub (shift_left 1L 51) 1L; shift_left 1L 51; add (shift_left 1L 51) 1L;
+        sub (shift_left 1L 52) 2L; sub (shift_left 1L 52) 1L;
+      ]
+  in
+  for exp = 0 to 2047 do
+    List.iter
+      (fun mant ->
+        check_nudges (float_of_fields ~neg:false ~exp ~mant);
+        check_nudges (float_of_fields ~neg:true ~exp ~mant))
+      mantissas
+  done;
+  (* the branch boundaries and their neighbours *)
+  List.iter
+    (fun b ->
+      List.iter
+        (fun x ->
+          check_nudges x;
+          check_nudges (-.x))
+        [ b; Float.succ b; Float.pred b ])
+    [ 0.0; 0x1p-1074; 0x1p-1022; 0x1p-1021; 0x1p-969; Float.max_float ];
+  (* a seeded sweep of the tiny and scaled ranges, |x| < 2^-960 *)
+  let st = Random.State.make [| 26 |] in
+  for _ = 1 to 1_000_000 do
+    let mant = Random.State.int64 st (Int64.shift_left 1L 52) in
+    let exp = Random.State.int st (1023 - 960) in
+    check_nudges (float_of_fields ~neg:(Random.State.bool st) ~exp ~mant)
+  done
+
+let prop_next_bits =
+  QCheck.Test.make ~count:100_000
+    ~name:"next_up/down = Float.succ/pred on any bit pattern"
+    (QCheck.make
+       ~print:(fun b -> Printf.sprintf "%016Lx" b)
+       QCheck.Gen.int64)
+    (fun bits ->
+      check_nudges (Int64.float_of_bits bits);
+      true)
+
 let test_directed_specials () =
   let check = Alcotest.(check bool) in
   (* 0.1 + 0.2 is the classic inexact sum *)
@@ -174,11 +243,13 @@ let () =
             prop_next_up_adjacent;
             prop_next_down_adjacent;
             prop_next_inverse;
+            prop_next_bits;
           ] );
       ( "specials",
         [
           Alcotest.test_case "next_up/down special values" `Quick
             test_next_specials;
+          Alcotest.test_case "next_up/down bit for bit" `Quick test_next_bits;
           Alcotest.test_case "directed op spot checks" `Quick
             test_directed_specials;
         ] );

@@ -556,6 +556,21 @@ let stat_int server field =
   | Some n -> J.to_int n
   | None -> Alcotest.fail ("stats_json lacks " ^ field)
 
+(* a fatal exception that escapes a run (the firewall re-raises
+   [Out_of_memory]) reaches the caller as before, but the job's ticket
+   is settled on the way out: [stats] no longer counts it as running *)
+let test_fatal_run_settles_ticket () =
+  let server = make_server () in
+  Fun.protect ~finally:Fault.reset (fun () ->
+      Fault.arm ~site:"ode.simulate" ~times:1 (fun () -> Out_of_memory);
+      match collect server (homing_job ~id:"oom" ()) with
+      | _ -> Alcotest.fail "Out_of_memory must reach the caller"
+      | exception Out_of_memory -> ());
+  Alcotest.(check int) "no running job after the fatal run" 0
+    (stat_int server "running_jobs");
+  let v = find_verdict (collect server (homing_job ~id:"after" ())) in
+  check "the next job runs" true (v.vsrc = P.Run)
+
 (* park a job inside its first progress event until [gate] flips, so an
    identical job submitted meanwhile deterministically overlaps its run
    instead of racing it or hitting the memo *)
@@ -1276,6 +1291,8 @@ let () =
             test_budget_distinct_in_memo;
           Alcotest.test_case "poisoned job firewalled" `Quick
             test_poisoned_job_firewalled;
+          Alcotest.test_case "fatal run settles its ticket" `Quick
+            test_fatal_run_settles_ticket;
           Alcotest.test_case "empty partition rejected" `Quick
             test_empty_partition_rejected;
         ] );
