@@ -54,49 +54,47 @@ let run_backreach ~reach ~workers ~grid ~table_path ~quiet sys =
     }
   in
   let fp = Backreach.fingerprint bcfg sys in
+  let refuse fmt =
+    Printf.ksprintf (fun msg -> Printf.eprintf "error: %s\n%!" msg; exit 2) fmt
+  in
+  let build ~resume =
+    let progress =
+      if quiet then None
+      else
+        Some
+          (fun ~done_states ~total ->
+            if done_states mod 64 = 0 || done_states = total then
+              Printf.eprintf "\rbackreach %d/%d states...%!" done_states total)
+    in
+    let t = Backreach.build ?journal:table_path ~resume ?progress bcfg sys in
+    if not quiet then Printf.eprintf "\n%!";
+    t
+  in
+  (* FILE is the build journal itself: absent, it is built; complete,
+     it is loaded; interrupted, the build resumes into it *)
   let table =
     match table_path with
     | Some path when Sys.file_exists path -> (
-        match Backreach.load path with
-        | Error reason ->
-            Printf.eprintf "error: cannot load backreach table %s: %s\n%!" path
-              reason;
-            exit 2
+        let stored = Backreach.load path in
+        let stored_fp =
+          match stored with
+          | Ok t -> Backreach.table_fingerprint t
+          | Error (Backreach.Incomplete { fingerprint; _ }) -> fingerprint
+          | Error (Backreach.Unreadable reason) ->
+              refuse "cannot load backreach table %s: %s" path reason
+        in
+        if stored_fp <> fp then
+          refuse
+            "backreach table %s has fingerprint %s but this run's is %s\n\
+             (different domain, grid, networks or analysis configuration) \
+             — delete it or rerun with the original settings."
+            path stored_fp fp;
+        match stored with
         | Ok t ->
-            if Backreach.table_fingerprint t <> fp then begin
-              Printf.eprintf
-                "error: backreach table %s has fingerprint %s but this run's \
-                 is %s\n\
-                 (different domain, grid, networks or analysis \
-                 configuration) — delete it or rerun with the original \
-                 settings.\n\
-                 %!"
-                path
-                (Backreach.table_fingerprint t)
-                fp;
-              exit 2
-            end;
-            if not quiet then
-              Printf.eprintf "backreach: loaded table %s\n%!" path;
-            t)
-    | _ ->
-        let journal = Option.map (fun p -> p ^ ".journal") table_path in
-        let resume =
-          match journal with Some j -> Sys.file_exists j | None -> false
-        in
-        let progress =
-          if quiet then None
-          else
-            Some
-              (fun ~done_states ~total ->
-                if done_states mod 64 = 0 || done_states = total then
-                  Printf.eprintf "\rbackreach %d/%d states...%!" done_states
-                    total)
-        in
-        let t = Backreach.build ?journal ~resume ?progress bcfg sys in
-        if not quiet then Printf.eprintf "\n%!";
-        Option.iter (fun p -> Backreach.save_table t p) table_path;
-        t
+            if not quiet then Printf.eprintf "backreach: loaded table %s\n%!" path;
+            t
+        | Error _ -> build ~resume:true)
+    | _ -> build ~resume:false
   in
   Printf.printf
     "# backreach: %d/%d states unsafe, %d sweep(s), %d failed, %d escaped, \
@@ -124,8 +122,7 @@ let run_cross_check table report =
   if cc.Backreach.findings = [] then 0 else 3
 
 let run dir arcs headings arc_sel gamma msteps order domain nn_splits
-    max_depth workers abs_cache abs_cache_quantum
-    abs_cache_shards cell_deadline cell_ode_budget cell_state_budget
+    max_depth workers abs_cache abs_cache_shards cell_deadline cell_ode_budget cell_state_budget
     journal_path resume tiny csv trace backreach backreach_table
     backreach_grid cross_check quiet =
   let _, networks =
@@ -154,8 +151,8 @@ let run dir arcs headings arc_sel gamma msteps order domain nn_splits
              else
                Some
                  {
-                   Nncs_nnabs.Cache.capacity = abs_cache;
-                   quantum = abs_cache_quantum;
+                   Nncs_nnabs.Cache.default_config with
+                   capacity = abs_cache;
                    shards = abs_cache_shards;
                  });
         };
@@ -362,17 +359,8 @@ let abs_cache =
     value & opt int 0
     & info [ "abs-cache" ]
         ~doc:"F# memo table capacity (entries), shared by all worker \
-              domains; 0 disables caching and leaves the abstraction \
-              bitwise-unchanged.")
-
-let abs_cache_quantum =
-  Arg.(
-    value
-    & opt float Nncs_nnabs.Cache.default_config.Nncs_nnabs.Cache.quantum
-    & info [ "abs-cache-quantum" ]
-        ~doc:"Outward quantization grid of the cache key, in normalised \
-              network-input units; hits return a sound superset of the \
-              exact F# box.  0 caches exact boxes only.")
+              domains; 0 disables caching.  Keys are exact, so a cached \
+              run reports the verdicts of an uncached one.")
 
 let abs_cache_shards =
   Arg.(
@@ -448,11 +436,12 @@ let backreach_table =
     value
     & opt (some string) None
     & info [ "backreach-table" ]
-        ~doc:"Persist the backreach table to this JSONL file (implies \
-              $(b,--backreach)).  If the file already exists it is \
-              loaded instead of rebuilt (its fingerprint must match); \
-              during a build, FILE.journal checkpoints every computed \
-              transition so an interrupted build resumes mid-sweep.")
+        ~doc:"Journal the backreach build into this JSONL file (implies \
+              $(b,--backreach)): one line per computed transition, so an \
+              interrupted build resumes into the same file mid-sweep.  A \
+              complete file is loaded instead of rebuilt.  A file with \
+              another fingerprint (domain, grid, networks or analysis \
+              configuration) is refused with exit code 2.")
 
 let backreach_grid =
   Arg.(
@@ -478,7 +467,7 @@ let cmd =
     Term.(
       const run $ dir $ arcs $ headings $ arc_sel $ gamma $ msteps $ order
       $ domain $ nn_splits $ max_depth $ workers $ abs_cache
-      $ abs_cache_quantum $ abs_cache_shards $ cell_deadline
+      $ abs_cache_shards $ cell_deadline
       $ cell_ode_budget $ cell_state_budget $ journal $ resume $ tiny $ csv
       $ trace $ backreach $ backreach_table $ backreach_grid $ cross_check
       $ quiet)

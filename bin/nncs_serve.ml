@@ -118,9 +118,8 @@ let serve_socket server path quiet =
       if Atomic.get draining && not quiet then
         Printf.eprintf "nncs_serve: drained on signal\n%!")
 
-let run dir tiny dispatchers abs_cache abs_cache_quantum abs_cache_shards memo
-    memo_capacity max_queue max_line_bytes job_deadline backreach_table socket
-    quiet =
+let run dir tiny dispatchers abs_cache abs_cache_shards memo memo_capacity
+    max_queue max_line_bytes job_deadline backreach_table socket quiet =
   (* a client that disconnects mid-stream must not kill the resident
      server: with SIGPIPE ignored, writes to a dead peer raise
      [Sys_error], which the session loop absorbs *)
@@ -152,7 +151,8 @@ let run dir tiny dispatchers abs_cache abs_cache_quantum abs_cache_shards memo
             Some table
         | Error reason ->
             Printf.eprintf "nncs_serve: cannot load backreach table %s: %s\n%!"
-              path reason;
+              path
+              (Nncs_backreach.Backreach.load_error_to_string reason);
             exit 2)
   in
   let config =
@@ -163,8 +163,8 @@ let run dir tiny dispatchers abs_cache abs_cache_quantum abs_cache_shards memo
          else
            Some
              {
-               Nncs_nnabs.Cache.capacity = abs_cache;
-               quantum = abs_cache_quantum;
+               Nncs_nnabs.Cache.default_config with
+               capacity = abs_cache;
                shards = abs_cache_shards;
              });
       memo_path = memo;
@@ -209,14 +209,6 @@ let abs_cache =
     & info [ "abs-cache" ]
         ~doc:"Process-wide F# memo table capacity (entries), shared by \
               every job and dispatcher; 0 disables caching.")
-
-let abs_cache_quantum =
-  Arg.(
-    value & opt float 0.0
-    & info [ "abs-cache-quantum" ]
-        ~doc:"Outward quantization grid of the cache key (0 caches exact \
-              boxes only, keeping served verdicts bitwise-identical to \
-              uncached runs).")
 
 let abs_cache_shards =
   Arg.(
@@ -269,10 +261,11 @@ let backreach_table =
     value
     & opt (some string) None
     & info [ "backreach-table" ]
-        ~doc:"Load a quantized backreachability table (built by \
-              $(b,acasxu_verify --backreach)) and answer lookup \
-              requests from it, ahead of every other tier.  Only valid \
-              for the network set this server runs.")
+        ~doc:"Load a quantized backreachability table, the build \
+              journal written by $(b,acasxu_verify --backreach-table), \
+              and answer lookup requests from it, ahead of every other \
+              tier.  An unfinished or unreadable journal exits with code \
+              2.  Only valid for the network set this server runs.")
 
 let socket =
   Arg.(
@@ -291,8 +284,8 @@ let cmd =
        ~doc:"Resident multi-query verification server for the ACAS Xu \
              closed loop")
     Term.(
-      const run $ dir $ tiny $ dispatchers $ abs_cache $ abs_cache_quantum
-      $ abs_cache_shards $ memo $ memo_capacity $ max_queue $ max_line_bytes
+      const run $ dir $ tiny $ dispatchers $ abs_cache $ abs_cache_shards
+      $ memo $ memo_capacity $ max_queue $ max_line_bytes
       $ job_deadline $ backreach_table $ socket $ quiet)
 
 let () = exit (Cmd.eval' cmd)

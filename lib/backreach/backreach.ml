@@ -257,6 +257,85 @@ let trans_of_json j =
           } )
   | _ -> None
 
+(* ----- reading a build journal ----- *)
+
+(* What a build journal holds, read in one streaming pass: its meta
+   record, the transition records in a state array (a slot stays [None]
+   until its [trans] line is read) and the build time of its [done]
+   record, present once the build finished. *)
+type stored = {
+  st_fp : string;
+  st_grid : int array;
+  st_domain : B.t;
+  st_ncmds : int;
+  st_escape_unsafe : bool;
+  st_infos : sinfo option array;
+  st_build_s : float option;
+}
+
+let stored_of_meta j =
+  let req k =
+    match Json.member k j with
+    | Some v -> v
+    | None -> failwith ("meta missing " ^ k)
+  in
+  let v = Json.to_int (req "v") in
+  if v < format_version then
+    failwith
+      (Printf.sprintf
+         "backreach format v%d predates v%d (next commands sampled at the \
+          period's start); rebuild the table"
+         v format_version);
+  let grid =
+    match req "grid" with
+    | Json.List l -> Array.of_list (List.map Json.to_int l)
+    | _ -> failwith "meta: malformed grid"
+  in
+  {
+    st_fp =
+      (match req "fingerprint" with
+      | Json.Str s -> s
+      | _ -> failwith "meta: malformed fingerprint");
+    st_grid = grid;
+    st_domain = Codec.box_of_json (req "domain");
+    st_ncmds = Json.to_int (req "commands");
+    st_escape_unsafe =
+      (match req "escape_unsafe" with Json.Bool b -> b | _ -> false);
+    st_infos = Array.make (Json.to_int (req "states")) None;
+    st_build_s = None;
+  }
+
+(* [compact] notes the [unsafe]/[table-end] lines of the compact table
+   format, which is no longer written or read. *)
+let read path =
+  let step (st, compact) j =
+    match (Json.member "t" j, st) with
+    | Some (Json.Str "backreach-meta"), None -> (Some (stored_of_meta j), compact)
+    | Some (Json.Str "trans"), Some s ->
+        (match trans_of_json j with
+        | Some (id, si) when id >= 0 && id < Array.length s.st_infos ->
+            s.st_infos.(id) <- Some si
+        | _ -> ());
+        (st, compact)
+    | Some (Json.Str "done"), Some s ->
+        let build_s = Option.map Json.to_float (Json.member "build_s" j) in
+        (Some { s with st_build_s = build_s }, compact)
+    | Some (Json.Str ("unsafe" | "table-end")), _ -> (st, true)
+    | _ -> (st, compact)
+  in
+  match Journal.fold path ~init:(None, false) step with
+  | exception Sys_error e -> Error e
+  | exception (Failure e | Json.Parse_error e | Invalid_argument e) -> Error e
+  | None, _ -> Error "no backreach-meta record (not a backreach artifact?)"
+  | Some s, true when Array.for_all Option.is_none s.st_infos ->
+      Error
+        (Printf.sprintf
+           "a compact backreach table (unsafe/table-end lines), a format \
+            that is no longer read: load the build journal %s.journal \
+            written beside it, or rebuild"
+           path)
+  | Some s, _ -> Ok s
+
 (* ----- the one-period backward transition ----- *)
 
 let compute_state ~config ~edges sys id =
@@ -412,41 +491,27 @@ let build ?journal ?(resume = false) ?progress config sys =
   let ncmds = Command.size sys.System.controller.Controller.commands in
   let nstates = ncells * ncmds in
   let fp = fingerprint config sys in
-  let infos : sinfo option array = Array.make nstates None in
   (* resume: replay transition records from a matching journal so only
      the missing states are recomputed *)
-  let appending =
+  let resumed =
     match journal with
-    | Some path when resume && Sys.file_exists path ->
-        let records = Journal.load path in
-        let meta_fp =
-          List.find_map
-            (fun j ->
-              match Json.member "t" j with
-              | Some (Json.Str "backreach-meta") ->
-                  Option.map Json.to_str (Json.member "fingerprint" j)
-              | _ -> None)
-            records
-        in
-        (match meta_fp with
-        | Some f when f <> fp ->
+    | Some path when resume && Sys.file_exists path -> (
+        match read path with
+        | Error e ->
+            invalid_arg (Printf.sprintf "Backreach.build: cannot resume %s: %s" path e)
+        | Ok s when s.st_fp <> fp || Array.length s.st_infos <> nstates ->
             invalid_arg
-              "Backreach.build: journal fingerprint mismatch (different \
-               system or config); delete the journal or drop --resume"
-        | Some _ ->
-            List.iter
-              (fun j ->
-                match Json.member "t" j with
-                | Some (Json.Str "trans") -> (
-                    match trans_of_json j with
-                    | Some (id, si) when id >= 0 && id < nstates ->
-                        infos.(id) <- Some si
-                    | _ -> ())
-                | _ -> ())
-              records
-        | None -> ());
-        meta_fp <> None
-    | _ -> false
+              (Printf.sprintf
+                 "Backreach.build: journal fingerprint %s, this build's %s \
+                  (different system or config); delete the journal or \
+                  drop --resume"
+                 s.st_fp fp)
+        | Ok s -> Some s.st_infos)
+    | _ -> None
+  in
+  let appending = Option.is_some resumed in
+  let infos =
+    match resumed with Some a -> a | None -> Array.make nstates None
   in
   let writer = Option.map (fun p -> Journal.create ~append:appending p) journal in
   if not appending then
@@ -554,173 +619,47 @@ let query t ~box ~cmd =
 
 (* ----- persistence ----- *)
 
-let save_table t path =
-  Journal.with_writer path (fun w ->
-      Journal.write w
-        (meta_json ~fingerprint:t.t_fingerprint ~grid:t.t_grid
-           ~domain:t.t_domain ~ncmds:t.t_ncmds
-           ~escape_unsafe:t.t_escape_unsafe ~nstates:t.t_nstates);
-      let entries =
-        Hashtbl.fold (fun id k acc -> (id, k) :: acc) t.t_unsafe []
-        |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
-      in
-      List.iter
-        (fun (id, k) ->
-          let cell = id / t.t_ncmds and cmd = id mod t.t_ncmds in
-          Journal.write w
-            (Json.Obj
-               [
-                 ("t", Json.Str "unsafe");
-                 ("cell", num_int cell);
-                 ("cmd", num_int cmd);
-                 ("k", num_int k);
-                 ("box", Codec.box_to_json (cell_box t.t_edges t.t_grid cell));
-               ]))
-        entries;
-      Journal.write w
-        (Json.Obj
-           [
-             ("t", Json.Str "table-end");
-             ("unsafe", num_int (List.length entries));
-           ]))
+type load_error =
+  | Incomplete of { fingerprint : string; missing : int; states : int }
+  | Unreadable of string
+
+let load_error_to_string = function
+  | Incomplete { missing; states; _ } ->
+      Printf.sprintf
+        "incomplete build journal (%d/%d states missing%s): rerun the build \
+         on it to finish it"
+        missing states
+        (if missing = 0 then ", no done record" else "")
+  | Unreadable e -> e
 
 let load path =
-  match Journal.load path with
-  | exception Sys_error e -> Error e
-  | records -> (
-      let tag j =
-        match Json.member "t" j with Some (Json.Str s) -> s | _ -> ""
+  match read path with
+  | Error e -> Error (Unreadable e)
+  | Ok s -> (
+      let states = Array.length s.st_infos in
+      let missing =
+        Array.fold_left
+          (fun a si -> if Option.is_none si then a + 1 else a)
+          0 s.st_infos
       in
-      match List.find_opt (fun j -> tag j = "backreach-meta") records with
-      | None -> Error "no backreach-meta record (not a backreach artifact?)"
-      | Some meta -> (
+      match s.st_build_s with
+      | Some build_s when missing = 0 -> (
+          let config =
+            {
+              (default_config ~domain:s.st_domain ~grid:s.st_grid) with
+              escape_unsafe = s.st_escape_unsafe;
+            }
+          in
+          (* a successor id out of range or a grid that does not fit the
+             domain is a corrupt journal, not a crash *)
           try
-            let ints k =
-              match Json.member k meta with
-              | Some (Json.List l) -> List.map Json.to_int l
-              | _ -> failwith ("meta missing " ^ k)
-            in
-            let grid = Array.of_list (ints "grid") in
-            let domain =
-              match Json.member "domain" meta with
-              | Some d -> Codec.box_of_json d
-              | None -> failwith "meta missing domain"
-            in
-            let req k =
-              match Json.member k meta with
-              | Some v -> v
-              | None -> failwith ("meta missing " ^ k)
-            in
-            let v = Json.to_int (req "v") in
-            if v < format_version then
-              failwith
-                (Printf.sprintf
-                   "backreach format v%d predates v%d (next commands \
-                    sampled at the period's start); rebuild the table"
-                   v format_version);
-            let ncmds = Json.to_int (req "commands") in
-            let nstates = Json.to_int (req "states") in
-            let escape_unsafe =
-              match req "escape_unsafe" with Json.Bool b -> b | _ -> false
-            in
-            let fp =
-              match req "fingerprint" with
-              | Json.Str s -> s
-              | _ -> failwith "meta: malformed fingerprint"
-            in
-            let edges = edges_of ~domain ~grid in
-            let trans = List.filter (fun j -> tag j = "trans") records in
-            if trans <> [] then begin
-              (* a build journal: re-derive the fixed point *)
-              let infos = Array.make nstates None in
-              List.iter
-                (fun j ->
-                  match trans_of_json j with
-                  | Some (id, si) when id >= 0 && id < nstates ->
-                      infos.(id) <- Some si
-                  | _ -> ())
-                trans;
-              let missing =
-                Array.fold_left
-                  (fun a s -> if s = None then a + 1 else a)
-                  0 infos
-              in
-              if missing > 0 then
-                failwith
-                  (Printf.sprintf
-                     "incomplete build journal (%d/%d states missing): finish \
-                      it with --resume"
-                     missing nstates);
-              let infos = Array.map Option.get infos in
-              let build_s =
-                List.fold_left
-                  (fun acc j ->
-                    if tag j = "done" then
-                      match Json.member "build_s" j with
-                      | Some v -> Json.to_float v
-                      | None -> acc
-                    else acc)
-                  0.0 records
-              in
-              let config =
-                { (default_config ~domain ~grid) with escape_unsafe }
-              in
-              Ok (table_of_infos ~config ~edges ~fp ~ncmds ~build_s infos)
-            end
-            else begin
-              (* a compact table artifact: entries as-is, trailer checked *)
-              let unsafe = Hashtbl.create 256 in
-              let max_k = ref 0 in
-              List.iter
-                (fun j ->
-                  if tag j = "unsafe" then begin
-                    let cell = Json.to_int (Option.get (Json.member "cell" j)) in
-                    let cmd = Json.to_int (Option.get (Json.member "cmd" j)) in
-                    let k = Json.to_int (Option.get (Json.member "k" j)) in
-                    if cell < 0 || cmd < 0 || cmd >= ncmds then
-                      failwith "malformed unsafe entry";
-                    Hashtbl.replace unsafe ((cell * ncmds) + cmd) k;
-                    if k > !max_k then max_k := k
-                  end)
-                records;
-              let trailer =
-                List.fold_left
-                  (fun acc j ->
-                    if tag j = "table-end" then
-                      Option.map Json.to_int (Json.member "unsafe" j)
-                    else acc)
-                  None records
-              in
-              (match trailer with
-              | Some n when n = Hashtbl.length unsafe -> ()
-              | Some n ->
-                  failwith
-                    (Printf.sprintf
-                       "table-end count %d does not match %d entries \
-                        (truncated table?)"
-                       n (Hashtbl.length unsafe))
-              | None ->
-                  failwith "missing table-end trailer (truncated table?)");
-              Ok
-                {
-                  t_domain = domain;
-                  t_grid = grid;
-                  t_edges = edges;
-                  t_ncmds = ncmds;
-                  t_escape_unsafe = escape_unsafe;
-                  t_fingerprint = fp;
-                  t_unsafe = unsafe;
-                  t_nstates = nstates;
-                  t_sweeps = !max_k;
-                  t_build_s = 0.0;
-                  t_failed = 0;
-                  t_escaped = 0;
-                }
-            end
-          with
-          | Failure e -> Error e
-          | Json.Parse_error e -> Error e
-          | Invalid_argument e -> Error e))
+            Ok
+              (table_of_infos ~config
+                 ~edges:(edges_of ~domain:s.st_domain ~grid:s.st_grid)
+                 ~fp:s.st_fp ~ncmds:s.st_ncmds ~build_s
+                 (Array.map Option.get s.st_infos))
+          with Invalid_argument e -> Error (Unreadable e))
+      | _ -> Error (Incomplete { fingerprint = s.st_fp; missing; states }))
 
 (* ----- forward cross-check ----- *)
 
@@ -830,15 +769,4 @@ let finding_to_json f =
       ("kind", Json.Str kind);
       extra;
       ("box", Codec.box_to_json f.f_box);
-    ]
-
-let cross_check_to_json c =
-  Json.Obj
-    [
-      ("t", Json.Str "cross-check");
-      ("checked_safe", num_int c.checked_safe);
-      ("checked_unsafe", num_int c.checked_unsafe);
-      ("skipped", num_int c.skipped);
-      ("disagreements", num_int (List.length c.findings));
-      ("findings", Json.List (List.map finding_to_json c.findings));
     ]

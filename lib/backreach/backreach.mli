@@ -71,15 +71,18 @@ val build :
   t
 (** Compute the table.  With [journal], every per-state transition
     record and every BFS sweep is appended to a JSONL journal (one
-    [backreach-meta] line, then [trans]/[sweep]/[done] lines); with
-    [resume] (and an existing journal whose fingerprint matches),
-    already-journaled transition records are not recomputed — an
-    interrupted build restarts mid-sweep.  Raises [Invalid_argument] on
-    a malformed config or a resume-fingerprint mismatch.  Per-state
-    analysis failures (enclosure divergence, numeric errors) never
-    escape: the state is conservatively treated as a contact and counted
-    in {!failed_states}.  [progress] may be called from worker
-    domains (serialized). *)
+    [backreach-meta] line, then [trans]/[sweep]/[done] lines) — the one
+    persisted form of a table, read back by {!load}.  With [resume] and
+    an existing journal whose fingerprint matches, already-journaled
+    transition records are not recomputed and the journal is appended
+    to — an interrupted build restarts mid-sweep; {!build_seconds} then
+    counts the resuming run only.  Raises [Invalid_argument] on a
+    malformed config, or on resuming a journal that is unreadable or
+    has another fingerprint.  Per-state analysis failures (enclosure
+    divergence, numeric errors) never escape: the state is
+    conservatively treated as a contact and counted in
+    {!failed_states}.  [progress] may be called from worker domains
+    (serialized). *)
 
 type verdict =
   | Unsafe of { k : int }
@@ -109,19 +112,26 @@ val table_fingerprint : t -> string
 
 (** {1 Persistence} *)
 
-val save_table : t -> string -> unit
-(** Compact JSONL artifact: the [backreach-meta] line, one [unsafe] line
-    per table entry, and a [table-end] trailer with the entry count (the
-    load-time torn-tail check — a truncated table would silently answer
-    [Safe] for the lost entries). *)
+type load_error =
+  | Incomplete of { fingerprint : string; missing : int; states : int }
+      (** a build journal of [fingerprint] that lacks [missing] of its
+          [states] transition records, or its [done] record when
+          [missing = 0]: an interrupted build, which {!build} with
+          [~resume:true] finishes *)
+  | Unreadable of string
+      (** not a loadable build journal, with the reason: unreadable
+          file, no meta record, a malformed record, format version 1
+          (transitions that chose the next commands on the endpoint
+          enclosure), or a compact table of the [unsafe]/[table-end]
+          format, which is no longer read *)
 
-val load : string -> (t, string) result
-(** Load either format: a {!save_table} artifact (entries are taken
-    as-is; a missing or mismatched [table-end] trailer is an error) or a
-    {!build} journal (transition records must be complete; the fixed
-    point is re-derived).  Artifacts of format version 1, whose
-    transitions chose the next commands on the endpoint enclosure, are
-    refused.  [Error] carries a human-readable reason. *)
+val load_error_to_string : load_error -> string
+
+val load : string -> (t, load_error) result
+(** Read a complete {!build} journal as a stream and re-derive the fixed
+    point from its transition records.  The table reports the build's
+    own failed and escaped counts and, from the [done] record, its
+    build time. *)
 
 (** {1 Forward cross-check} *)
 
@@ -157,4 +167,3 @@ val check_forward : t -> Nncs.Verify.report -> cross_check
     skipped — the oracle compares verdicts, it does not invent them. *)
 
 val finding_to_json : finding -> Nncs_obs.Json.t
-val cross_check_to_json : cross_check -> Nncs_obs.Json.t

@@ -61,10 +61,8 @@ val abstract_step :
     [box] with the given previous command (stage 2 of the procedure).
 
     With [cache], the F# evaluation is memoized per (network, previous
-    command, domain, quantized [Pre#] box); a hit may return a sound
-    superset of the score box (see {!Nncs_nnabs.Cache}), so [post_abs]
-    must be monotone — a wider score box yields a superset command list,
-    as the shipped argmin/argmax abstractions do. *)
+    command, domain and splits, [Pre#] box); a hit returns the score
+    box an uncached call computes (see {!Nncs_nnabs.Cache}). *)
 
 val abstract_scores :
   ?cache:Nncs_nnabs.Cache.t ->

@@ -61,13 +61,10 @@ let default_config =
    the most influential (a one-step lookahead of the paper's suggested
    heuristic).
 
-   The probes deliberately bypass the abstraction cache: with a
-   quantization grid coarser than a half-box, both halves of a
-   bisection (or a half and its parent) collapse onto the same widened
-   key, every candidate scores identically and the ordering degenerates
-   to an arbitrary one.  Exact uncached scores keep the heuristic
-   discriminating; the probed boxes are transient half-cells that would
-   rarely be re-queried anyway. *)
+   The probes run uncached: they are transient half-cells that the
+   reachability steps do not query, so caching them would only fill the
+   table.  A cached probe would score the same bits (the cache's keys
+   are exact). *)
 let influence_order sys (cell : Symstate.t) candidates =
   let ctrl = sys.System.controller in
   let score dim =

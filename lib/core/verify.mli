@@ -157,9 +157,8 @@ val coverage_of_cells : cell_report list -> float
 val influence_order : System.t -> Symstate.t -> int list -> int list
 (** The candidate dimensions sorted from most to least influential (see
     {!Most_influential}); exposed for tests and diagnostics.  The F#
-    probes always run uncached: quantized cache hits would widen both
-    halves of a bisection onto the same score box and erase the very
-    differences the ordering measures. *)
+    probes run uncached: their half-cells are not what the reachability
+    steps query, so they would only fill the cache. *)
 
 (** {1 Journal serialization}
 

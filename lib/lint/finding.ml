@@ -9,8 +9,6 @@ type rule =
   | R6_atomic_rmw
   | R6_atomic_publish
   | R6_faa_discard
-  | R7_perform_under_lock
-  | R7_dls_in_handler
   | Parse_failure
   | Type_failure
 
@@ -27,23 +25,19 @@ let rule_id = function
   | R6_atomic_rmw -> "r6-atomic-rmw"
   | R6_atomic_publish -> "r6-atomic-publish"
   | R6_faa_discard -> "r6-faa-discard"
-  | R7_perform_under_lock -> "r7-perform-under-lock"
-  | R7_dls_in_handler -> "r7-dls-in-handler"
   | Parse_failure -> "parse-failure"
   | Type_failure -> "type-failure"
 
 (* Soundness (R1) and concurrency defects that corrupt state or deadlock
-   (R3, R5, the atomic lost-update window, perform-under-lock) make
-   verdicts wrong or hang runs: P1.  Comparison hazards (R2/R4) and the
-   advisory atomic/DLS protocols are usually latent: P2.  Either fails
-   the run; the severity says which to read first. *)
+   (R3, R5, the atomic lost-update window) make verdicts wrong or hang
+   runs: P1.  Comparison hazards (R2/R4) and the advisory atomic
+   protocols are usually latent: P2.  Either fails the run; the severity
+   says which to read first. *)
 let severity = function
   | R1_bare_float | R3_top_mutable | R3_mutex_unsafe | R5_guarded_by
-  | R5_lock_order | R6_atomic_rmw | R7_perform_under_lock | Parse_failure
-  | Type_failure ->
+  | R5_lock_order | R6_atomic_rmw | Parse_failure | Type_failure ->
       P1
-  | R2_float_compare | R4_poly_compare | R6_atomic_publish | R6_faa_discard
-  | R7_dls_in_handler ->
+  | R2_float_compare | R4_poly_compare | R6_atomic_publish | R6_faa_discard ->
       P2
 
 let severity_id = function P1 -> "P1" | P2 -> "P2"

@@ -37,8 +37,6 @@ type rule =
   | R6_atomic_rmw      (** Atomic.get flowing into Atomic.set: lost-update window *)
   | R6_atomic_publish  (** Atomic.t published through a non-atomic mutable cell *)
   | R6_faa_discard     (** fetch_and_add result discarded: use incr/decr *)
-  | R7_perform_under_lock  (** Effect.perform while a mutex is held *)
-  | R7_dls_in_handler  (** Domain.DLS access inside an effect handler *)
   | Parse_failure      (** the linter could not parse the file *)
   | Type_failure       (** the linter could not typecheck the file *)
 

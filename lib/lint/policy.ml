@@ -20,9 +20,9 @@ let r1_dirs =
    main-domain-only by construction. *)
 let r3_dirs = [ "lib" ]
 
-(* The concurrency protocols (R5 lock discipline, R6 atomics, R7
-   fiber/effect safety) also cover the executables: nncs_serve spawns
-   dispatcher domains from bin/. *)
+(* The concurrency protocols (R5 lock discipline, R6 atomics) also
+   cover the executables: nncs_serve spawns dispatcher domains from
+   bin/. *)
 let conc_dirs = [ "lib"; "bin" ]
 
 (* ----- resolved-path identifier sets ----- *)

@@ -8,7 +8,7 @@
    typer's problem) and R2/R4 read principal types instead of
    "looks like a float" heuristics.
 
-   Lock-region model (R5/R7): a lock is "held" inside
+   Lock-region model (R5): a lock is "held" inside
 
    - the rest of a [Texp_sequence] chain after [Mutex.lock m] (until a
      matching [Mutex.unlock m] element),
@@ -117,7 +117,6 @@ type ctx = {
   mutable sup : Suppress.t;
   mutable static : bool;
   mutable held : lock list;
-  mutable in_handler : bool;
   toplevels : (Ident.t, string) Hashtbl.t;  (* toplevel value -> canon *)
   guards_by_ident : (Ident.t, string) Hashtbl.t;
   field_guards : (string, string) Hashtbl.t;  (* "Type.label" canon -> guard *)
@@ -609,29 +608,6 @@ let make_iterator ctx =
           if ctx.conc_active then begin
             if name = "Stdlib.Mutex.lock" then
               ctx.mutex_locks <- e.exp_loc :: ctx.mutex_locks;
-            if name = "Stdlib.Effect.perform" && ctx.held <> [] then
-              report ctx Finding.R7_perform_under_lock e.exp_loc
-                ("perform holding "
-                ^ String.concat "," (List.map (fun l -> l.canon) ctx.held))
-                (Printf.sprintf
-                   "Effect.perform while holding `%s`: a parked fiber \
-                    keeps the lock and deadlocks every other domain that \
-                    needs it; release the lock before performing, or \
-                    annotate [@lint.allow \"r7-perform-under-lock \
-                    reason\"]"
-                   (String.concat ", "
-                      (List.map (fun l -> l.canon) ctx.held)));
-            if
-              (name = "Stdlib.Domain.DLS.get" || name = "Stdlib.Domain.DLS.set")
-              && ctx.in_handler
-            then
-              report ctx Finding.R7_dls_in_handler e.exp_loc
-                (last_segment name)
-                "Domain.DLS access inside an effect handler: the handler \
-                 runs on whichever domain resumes the fiber, so \
-                 domain-local state may belong to a different domain \
-                 than the suspension point; pass state explicitly or \
-                 annotate [@lint.allow \"r7-dls-in-handler reason\"]";
             check_guarded_ident ctx p e.exp_loc;
             match p with
             | Path.Pident _ -> ()
@@ -682,18 +658,6 @@ let make_iterator ctx =
                self.Tast_iterator.expr self e2;
                ctx.held <- saved
            | None -> self.Tast_iterator.expr self e2);
-          true
-      | Texp_record { fields; _ }
-        when Array.exists
-               (fun ((l : Types.label_description), _) ->
-                 l.Types.lbl_name = "effc")
-               fields ->
-          (* an Effect.Deep/Shallow handler literal: its components run
-             as part of the handler *)
-          let saved = ctx.in_handler in
-          ctx.in_handler <- true;
-          default.expr self e;
-          ctx.in_handler <- saved;
           true
       | Texp_apply (f, args) -> (
           let fname = head_path_name f in
@@ -902,7 +866,6 @@ let check ~file ~unit_display (tstr : structure) : result_ =
       sup = Suppress.empty;
       static = true;
       held = [];
-      in_handler = false;
       toplevels = Hashtbl.create 64;
       guards_by_ident = Hashtbl.create 8;
       field_guards = Hashtbl.create 8;

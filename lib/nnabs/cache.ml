@@ -8,7 +8,7 @@ let m_evictions = Metrics.counter "nnabs.cache_evictions"
 
 type config = { capacity : int; quantum : float; shards : int }
 
-let default_config = { capacity = 4096; quantum = 0.005; shards = 8 }
+let default_config = { capacity = 4096; quantum = 0.0; shards = 8 }
 
 type key = { net_id : int; cmd : int; tag : int; bounds : (float * float) array }
 
@@ -36,7 +36,7 @@ type shard = {
   mutable evictions : int;
 }
 
-type t = { config : config; shards : shard array }
+type t = { shards : shard array }
 
 let make_sentinel () =
   let rec sentinel =
@@ -51,14 +51,13 @@ let make_sentinel () =
 
 let create (config : config) =
   if config.capacity <= 0 then invalid_arg "Cache.create: non-positive capacity";
-  if not (Float.is_finite config.quantum) || config.quantum < 0.0 then
-    invalid_arg "Cache.create: quantum must be finite and >= 0";
+  if not (Float.equal config.quantum 0.0) then
+    invalid_arg "Cache.create: quantum must be 0.0 (keys are exact)";
   if config.shards <= 0 then invalid_arg "Cache.create: non-positive shards";
   let per_shard =
     max 1 ((config.capacity + config.shards - 1) / config.shards)
   in
   {
-    config;
     shards =
       Array.init config.shards (fun _ ->
           {
@@ -86,54 +85,13 @@ let push_front sh e =
   sh.sentinel.next.prev <- e;
   sh.sentinel.next <- e
 
-(* Outward snap of one bound to the grid.  [floor (lo / q) * q] is
-   computed in round-to-nearest, so it can land on the wrong side of
-   [lo] — and once |lo| / q approaches 2^52 (or the division overflows)
-   the error can exceed [q], or [q] can fall below one ulp of [s] so a
-   single subtraction no longer moves it.  The correction therefore
-   loops (bounded, since each step either moves [s] or proves it
-   stuck), and any failure to restore containment — non-finite [s],
-   stuck subtraction — falls back to the raw bound, which trivially
-   satisfies the invariant at the price of an unaligned (rarely shared)
-   key.  [+. 0.0] normalises -0.0 so structurally equal keys hash
-   equally. *)
-let max_correction_steps = 4
-
-let snap_down q lo =
-  let s = ref (Float.floor (lo /. q) *. q) in
-  let n = ref 0 in
-  while Float.is_finite !s && !s > lo && !n < max_correction_steps do
-    let s' = !s -. q in
-    if s' < !s then s := s' else n := max_correction_steps;
-    incr n
-  done;
-  (if Float.is_finite !s && !s <= lo then !s else lo) +. 0.0
-[@@lint.fp_exact
-  "quantization is containment-checked: the loop verifies s <= lo and \
-   falls back to the raw bound otherwise (see comment above)"]
-
-let snap_up q hi =
-  let s = ref (Float.ceil (hi /. q) *. q) in
-  let n = ref 0 in
-  while Float.is_finite !s && !s < hi && !n < max_correction_steps do
-    let s' = !s +. q in
-    if s' > !s then s := s' else n := max_correction_steps;
-    incr n
-  done;
-  (if Float.is_finite !s && !s >= hi then !s else hi) +. 0.0
-[@@lint.fp_exact "containment-checked, mirror of snap_down"]
-
-let quantize_bounds quantum box =
+(* The key is the query box's bounds as they are; [+. 0.0] only
+   normalises -0.0, so boxes that compare equal hash equally. *)
+let key_bounds box =
   Array.init (B.dim box) (fun k ->
       let iv = B.get box k in
-      let lo = I.lo iv and hi = I.hi iv in
-      if quantum <= 0.0 then
-        (lo +. 0.0, hi +. 0.0)
-        [@lint.fp_exact "+. 0.0 only normalises -0.0 for key hashing"]
-      else (snap_down quantum lo, snap_up quantum hi))
-
-let quantize quantum box =
-  if quantum <= 0.0 then box else B.of_bounds (quantize_bounds quantum box)
+      (I.lo iv +. 0.0, I.hi iv +. 0.0)
+      [@lint.fp_exact "+. 0.0 only normalises -0.0 for key hashing"])
 
 let shard_for t key = t.shards.(Hashtbl.hash key mod Array.length t.shards)
 
@@ -178,21 +136,17 @@ let insert sh key value =
           push_front sh e;
           value)
 
-(* Probe, and on a miss run [f] on the quantized box OUTSIDE every shard
+(* Probe, and on a miss run [f] on the query box OUTSIDE every shard
    lock: F# is the expensive part, and holding a lock here would
    serialize every domain whose keys land on that shard.  The price is
    that two domains missing on the same key concurrently both compute
-   it — both results enclose F# of the same quantized box, so either is
-   sound; [insert] keeps the incumbent, and the query is answered with
-   the value actually stored. *)
+   it — F# is deterministic, so both results are the same bits;
+   [insert] keeps the incumbent, and the query is answered with the
+   value actually stored. *)
 let find_or_compute t ~net_id ~cmd ?(tag = 0) box f =
-  let key = { net_id; cmd; tag; bounds = quantize_bounds t.config.quantum box } in
+  let key = { net_id; cmd; tag; bounds = key_bounds box } in
   let sh = shard_for t key in
-  match probe sh key with
-  | Some v -> v
-  | None ->
-      let qbox = if t.config.quantum <= 0.0 then box else B.of_bounds key.bounds in
-      insert sh key (f qbox)
+  match probe sh key with Some v -> v | None -> insert sh key (f box)
 
 type stats = { hits : int; misses : int; evictions : int; size : int }
 
@@ -211,14 +165,6 @@ let stats (t : t) =
 
 let shard_sizes (t : t) =
   Array.map (fun sh -> with_lock sh (fun () -> Hashtbl.length sh.table)) t.shards
-
-let hit_rate (t : t) =
-  let s = stats t in
-  let total = s.hits + s.misses in
-  if total = 0 then 0.0
-  else
-    (float_of_int s.hits /. float_of_int total)
-    [@lint.fp_exact "telemetry ratio"]
 
 let clear t =
   Array.iter

@@ -3,11 +3,17 @@
 
     Across a partitioned verification run — and, in a resident
     multi-query server, across {e jobs} — the same (network, previous
-    command, input box) queries recur constantly: every control step of
-    every cell re-abstracts boxes that earlier steps, other worker
-    domains, or earlier jobs already saw.  This cache memoizes the
-    output box of an abstract transformer keyed by (network id, command,
-    tag, outward-quantized input box).
+    command, input box) queries recur: every control step of every cell
+    re-abstracts boxes that earlier steps, other worker domains, or
+    earlier jobs already saw.  This cache memoizes the output box of an
+    abstract transformer keyed by (network id, command, tag, input box
+    bounds).
+
+    {b Exact keys.} The key holds the query box's bounds as they are
+    (only [-0.0] is normalised to [0.0]), and a miss runs the
+    transformer on the query box itself.  A hit therefore returns the
+    bits an uncached call returns for an equal box, and a cached run
+    reports the verdicts of an uncached one.
 
     {b Concurrency.} The table is thread-safe: entries are distributed
     over [config.shards] independent LRU tables, each behind its own
@@ -15,18 +21,9 @@
     most one shard lock is ever held, and never across the underlying
     abstraction computation — a miss releases the lock, runs [f], and
     re-locks to insert.  Two domains missing on the same key
-    concurrently may therefore both compute it; both results enclose F#
-    of the same quantized box, so either is sound, and the insert keeps
-    the incumbent.  Per-shard LRU is exact; the process-wide eviction
-    order is only approximately LRU (each shard evicts its own oldest).
-
-    Soundness of quantized lookup: the input box is widened outward onto
-    a grid of pitch [quantum] before both the lookup and the underlying
-    computation, so the stored output encloses [{F(x) | x in qbox}] for
-    the *quantized* box — a superset of the true output for every box
-    that quantizes to the same key.  A hit therefore returns a sound
-    (possibly wider) enclosure; [quantum = 0.0] disables widening and
-    only ever reuses bitwise-identical queries.
+    concurrently may therefore both compute it; the insert keeps the
+    incumbent.  Per-shard LRU is exact; the process-wide eviction order
+    is only approximately LRU (each shard evicts its own oldest).
 
     Hit/miss/eviction totals are additionally published process-wide
     through [Nncs_obs.Metrics] under [nnabs.cache_hits] /
@@ -47,21 +44,23 @@ type config = {
   capacity : int;
       (** maximum number of entries over all shards; each shard evicts
           its own oldest-used entry at [capacity / shards] *)
-  quantum : float;  (** quantization grid pitch; 0.0 = exact keys *)
+  quantum : float;
+      (** must be [0.0]: keys are exact.  The field stays only because
+          [nncsbench.ml]'s [serve_cache] record names it; ROADMAP item
+          1 deletes it with [Verify.scheduler] and [batch_leaves]. *)
   shards : int;
       (** number of independently locked LRU tables (>= 1); 1 restores
           a single exactly-LRU table *)
 }
 
 val default_config : config
-(** [{ capacity = 4096; quantum = 0.005; shards = 8 }] — the quantum is
-    expressed in the network's (normalised) input units. *)
+(** [{ capacity = 4096; quantum = 0.0; shards = 8 }]. *)
 
 type t
 
 val create : config -> t
 (** A fresh, empty cache.  Raises [Invalid_argument] on a non-positive
-    capacity or shard count, or a negative / non-finite quantum. *)
+    capacity or shard count, or a quantum other than [0.0]. *)
 
 val shared : config -> t
 (** The process-wide cache, created on first use and shared by every
@@ -78,19 +77,13 @@ val find_or_compute :
   (Nncs_interval.Box.t -> Nncs_interval.Box.t) ->
   Nncs_interval.Box.t
 (** [find_or_compute t ~net_id ~cmd ~tag box f] returns the cached
-    output for the quantized key if present, else runs [f qbox] on the
-    outward-quantized box (outside the shard lock), stores and returns
-    the result.  If another domain stored the key meanwhile, its value
-    is kept and returned.  [net_id] must uniquely identify the network
+    output for the key if present, else runs [f box] (outside the shard
+    lock), stores and returns the result.  If another domain stored the
+    key meanwhile, its value is kept and returned.  [net_id] must uniquely identify the network
     across the table's whole lifetime — pass [Nncs_nn.Network.uid], not
     an array index (see the soundness note above).  [tag] (default 0)
     distinguishes otherwise-identical queries that must not share
     entries — e.g. different abstract domains or split depths. *)
-
-val quantize : float -> Nncs_interval.Box.t -> Nncs_interval.Box.t
-(** The outward-quantized box ([quantum <= 0.0] returns the input
-    unchanged).  Exposed for the soundness tests: the result always
-    contains the argument. *)
 
 type stats = { hits : int; misses : int; evictions : int; size : int }
 
@@ -102,9 +95,6 @@ val stats : t -> stats
 
 val shard_sizes : t -> int array
 (** Current entry count of each shard (diagnostics: key spread). *)
-
-val hit_rate : t -> float
-(** [hits / (hits + misses)], 0.0 when empty. *)
 
 val clear : t -> unit
 (** Drop every entry (statistics are kept). *)

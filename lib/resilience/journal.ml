@@ -41,7 +41,7 @@ let with_writer ?append path f =
   let w = create ?append path in
   Fun.protect ~finally:(fun () -> close w) (fun () -> f w)
 
-let load ?on_malformed path =
+let fold ?on_malformed path ~init f =
   let warn =
     match on_malformed with
     | Some f -> f
@@ -55,22 +55,24 @@ let load ?on_malformed path =
      malformed line is a recoverable event *anywhere*, not only at the
      tail: skip it with a warning and keep every parseable record.
      Blank lines (the newline of the last complete record) are silently
-     ignored.  Lines are parsed as they stream in — a long-lived memo
-     journal must not be materialized as a whole string list first,
-     which would make restart memory proportional to the file size. *)
+     ignored.  Each line is parsed and folded as it streams in, so a
+     long journal is never held in memory, as lines or as records. *)
   let ic = open_in path in
   Fun.protect
     ~finally:(fun () -> close_in ic)
     (fun () ->
       let rec go line acc =
         match input_line ic with
-        | exception End_of_file -> List.rev acc
+        | exception End_of_file -> acc
         | l when String.trim l = "" -> go (line + 1) acc
         | l -> (
             match Json.of_string l with
-            | j -> go (line + 1) (j :: acc)
+            | j -> go (line + 1) (f acc j)
             | exception Json.Parse_error reason ->
                 warn ~line reason;
                 go (line + 1) acc)
       in
-      go 1 [])
+      go 1 init)
+
+let load ?on_malformed path =
+  List.rev (fold ?on_malformed path ~init:[] (fun acc j -> j :: acc))

@@ -27,10 +27,20 @@ val close : writer -> unit
 
 val with_writer : ?append:bool -> string -> (writer -> 'a) -> 'a
 
+val fold :
+  ?on_malformed:(line:int -> string -> unit) ->
+  string ->
+  init:'a ->
+  ('a -> Nncs_obs.Json.t -> 'a) ->
+  'a
+(** [fold path ~init f] folds [f] over the records of [path] in file
+    order, parsing one line at a time, so no more than one record is
+    held at once.  Blank lines are skipped silently and malformed lines
+    with a warning — [on_malformed ~line reason] is called for each
+    (1-based line number), defaulting to a message on stderr.  Never
+    raises on content; raises [Sys_error] if the file cannot be read,
+    and lets an exception of [f] through (the file is closed). *)
+
 val load :
   ?on_malformed:(line:int -> string -> unit) -> string -> Nncs_obs.Json.t list
-(** Parse every line of [path], skipping blank lines silently and
-    malformed lines with a warning — [on_malformed ~line reason] is
-    called for each (1-based line number), defaulting to a message on
-    stderr.  Never raises on content; raises [Sys_error] if the file
-    cannot be read. *)
+(** Every record of [path], in file order: {!fold} into a list. *)

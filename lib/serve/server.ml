@@ -32,7 +32,7 @@ let default_config =
   {
     dispatchers = 1;
     cache =
-      Some { Cache.default_config with Cache.capacity = 65536; quantum = 0.0 };
+      Some { Cache.default_config with Cache.capacity = 65536 };
     memo_path = None;
     memo_capacity = None;
     max_queue = None;

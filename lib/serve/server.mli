@@ -57,10 +57,10 @@ type config = {
 }
 
 val default_config : config
-(** One dispatcher; a large exact-key cache ([capacity 65536, quantum 0,
-    8 shards] — quantum 0 keeps served verdicts bitwise-identical to
-    uncached runs); no memo journal, unbounded memo and queue, 1 MiB
-    line cap, no job deadline, no backreach table. *)
+(** One dispatcher; a cache of 65536 entries in 8 shards (its keys are
+    exact, so served verdicts equal uncached runs); no memo journal,
+    unbounded memo and queue, 1 MiB line cap, no job deadline, no
+    backreach table. *)
 
 type t
 

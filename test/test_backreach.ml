@@ -1,5 +1,5 @@
 (* The backreachability oracle (lib/backreach): quantized backward
-   fixed point, journal/resume, table persistence, and the forward
+   fixed point, the build journal (resume, reload), and the forward
    cross-check.
 
    The deterministic systems below are engineered so quantization is
@@ -178,7 +178,9 @@ let test_journal_resume () =
       let t = Backreach.build ~journal:path cfg sys in
       (* the build journal is loadable and answers identically *)
       (match Backreach.load path with
-      | Error e -> Alcotest.failf "load of build journal failed: %s" e
+      | Error e ->
+          Alcotest.failf "load of build journal failed: %s"
+            (Backreach.load_error_to_string e)
       | Ok t2 ->
           Alcotest.(check int) "journal round-trip: unsafe"
             (Backreach.num_unsafe t) (Backreach.num_unsafe t2);
@@ -194,7 +196,13 @@ let test_journal_resume () =
           List.iter (fun l -> Printf.fprintf oc "%s\n" l) keep);
       (match Backreach.load path with
       | Ok _ -> Alcotest.fail "truncated build journal must not load"
-      | Error e -> check "truncation reported" true (e <> ""));
+      | Error (Backreach.Incomplete { fingerprint; missing; states }) ->
+          Alcotest.(check string) "truncated journal's fingerprint"
+            (Backreach.table_fingerprint t) fingerprint;
+          Alcotest.(check (pair int int)) "two of five states missing" (2, 5)
+            (missing, states)
+      | Error (Backreach.Unreadable e) ->
+          Alcotest.failf "truncation read as unreadable: %s" e);
       (* resume completes the table without recomputing journaled states *)
       let recomputed = ref 0 in
       let t3 =
@@ -229,14 +237,43 @@ let test_resume_fingerprint_mismatch () =
            false
          with Invalid_argument _ -> true))
 
-(* ----- compact table artifact ----- *)
+(* ----- the stored format ----- *)
 
 (* Stored tables are keyed by the fingerprint.  The hex and the v2
-   table lines below pin the format: they must keep loading and
-   answering.  The v1 lines were written before the transition sampled
-   the controller at the period's start; they encode a different closed
-   loop and must be refused even though they parse. *)
-let table_lines ~v ~fp =
+   build journal below (written by [build ~journal] on the homing
+   config, with its [done] record's time set to 0.25 s) pin the one
+   stored format: it must keep loading, answering, and reporting the
+   counts and time its records carry. *)
+let journal_lines =
+  [
+    {|{"t":"backreach-meta","v":2,"fingerprint":"265598a600bc2b52","grid":[9],"domain":[[0,4.5]],"commands":2,"escape_unsafe":false,"states":18}|};
+    {|{"t":"trans","id":0,"contact":false,"terminal":false,"escapes":true,"failed":false,"succs":[1]}|};
+    {|{"t":"trans","id":1,"contact":false,"terminal":false,"escapes":true,"failed":false,"succs":[1]}|};
+    {|{"t":"trans","id":2,"contact":false,"terminal":false,"escapes":true,"failed":false,"succs":[0,1,2,3]}|};
+    {|{"t":"trans","id":3,"contact":false,"terminal":false,"escapes":false,"failed":false,"succs":[0,1,2,3]}|};
+    {|{"t":"trans","id":4,"contact":false,"terminal":false,"escapes":false,"failed":false,"succs":[0,1,2,3,4,5]}|};
+    {|{"t":"trans","id":5,"contact":false,"terminal":false,"escapes":false,"failed":false,"succs":[2,3,4,5]}|};
+    {|{"t":"trans","id":6,"contact":false,"terminal":false,"escapes":false,"failed":false,"succs":[2,4,6]}|};
+    {|{"t":"trans","id":7,"contact":false,"terminal":false,"escapes":false,"failed":false,"succs":[4,6]}|};
+    {|{"t":"trans","id":8,"contact":false,"terminal":false,"escapes":false,"failed":false,"succs":[4,6,8]}|};
+    {|{"t":"trans","id":9,"contact":false,"terminal":false,"escapes":false,"failed":false,"succs":[6,8]}|};
+    {|{"t":"trans","id":10,"contact":false,"terminal":false,"escapes":false,"failed":false,"succs":[6,8,10]}|};
+    {|{"t":"trans","id":11,"contact":false,"terminal":false,"escapes":false,"failed":false,"succs":[8,10]}|};
+    {|{"t":"trans","id":12,"contact":false,"terminal":false,"escapes":false,"failed":false,"succs":[8,10,12]}|};
+    {|{"t":"trans","id":13,"contact":false,"terminal":false,"escapes":false,"failed":false,"succs":[10,12]}|};
+    {|{"t":"trans","id":14,"contact":false,"terminal":false,"escapes":false,"failed":false,"succs":[10,12,14]}|};
+    {|{"t":"trans","id":15,"contact":false,"terminal":false,"escapes":false,"failed":false,"succs":[12,14]}|};
+    {|{"t":"trans","id":16,"contact":true,"terminal":false,"escapes":false,"failed":false,"succs":[12,14,16]}|};
+    {|{"t":"trans","id":17,"contact":true,"terminal":false,"escapes":false,"failed":false,"succs":[14,16]}|};
+    {|{"t":"sweep","k":0,"added":2}|};
+    {|{"t":"done","unsafe":2,"sweeps":0,"build_s":0.25}|};
+  ]
+
+(* The compact table format, no longer read.  Its v2 lines must be
+   refused with a message that names the format; the v1 lines were
+   written before the transition sampled the controller at the period's
+   start and stay refused by their version. *)
+let compact_lines ~v ~fp =
   [
     Printf.sprintf
       {|{"t":"backreach-meta","v":%d,"fingerprint":"%s","grid":[9],"domain":[[0,4.5]],"commands":2,"escape_unsafe":false,"states":18}|}
@@ -251,6 +288,10 @@ let load_lines lines =
       Out_channel.with_open_text path (fun oc ->
           List.iter (fun l -> output_string oc (l ^ "\n")) lines);
       Backreach.load path)
+
+let refusal = function
+  | Ok _ -> None
+  | Error e -> Some (Backreach.load_error_to_string e)
 
 let test_fingerprint_pinned () =
   let fp = Backreach.fingerprint (homing_config ()) (homing_system ()) in
@@ -278,47 +319,82 @@ let test_fingerprint_pinned () =
   Alcotest.(check string)
     "homing config, Lohner + Affine" "cc376bd6412e0ecc"
     (Backreach.fingerprint lohner affine);
-  (match load_lines (table_lines ~v:2 ~fp:"265598a600bc2b52") with
-  | Error e -> Alcotest.failf "stored table refused: %s" e
+  (match load_lines journal_lines with
+  | Error e ->
+      Alcotest.failf "stored journal refused: %s"
+        (Backreach.load_error_to_string e)
   | Ok t ->
       Alcotest.(check string) "stored fingerprint" fp
         (Backreach.table_fingerprint t);
       Alcotest.(check int) "unsafe states" 2 (Backreach.num_unsafe t);
+      Alcotest.(check int) "sweeps" 0 (Backreach.sweeps t);
       check_k "inside E" t 4.2 4.4 0 0;
-      check "mid-domain is safe" true (q t 1.0 2.0 0 = Backreach.Safe));
-  match load_lines (table_lines ~v:1 ~fp:"fac7bd014bdb4401") with
-  | Ok _ -> Alcotest.fail "a v1 table must be refused"
-  | Error e ->
+      check "mid-domain is safe" true (q t 1.0 2.0 0 = Backreach.Safe);
+      Alcotest.(check int) "failed states from the records" 0
+        (Backreach.failed_states t);
+      Alcotest.(check int) "escaped states from the records" 3
+        (Backreach.escaped_states t);
+      Alcotest.(check (float 0.0)) "build time from the done record" 0.25
+        (Backreach.build_seconds t));
+  (match refusal (load_lines (compact_lines ~v:2 ~fp:"265598a600bc2b52")) with
+  | None -> Alcotest.fail "a compact table must be refused"
+  | Some e ->
+      check "compact refusal names the format" true
+        (String.starts_with ~prefix:"a compact backreach table" e));
+  match refusal (load_lines (compact_lines ~v:1 ~fp:"fac7bd014bdb4401")) with
+  | None -> Alcotest.fail "a v1 table must be refused"
+  | Some e ->
       check "v1 refusal names the version" true
         (String.starts_with ~prefix:"backreach format v1" e)
 
-let test_save_load_roundtrip () =
+(* A build with one firewalled state (a recoverable fault at the first
+   flow) and one escaping state (the drift carries cell 4 past the
+   domain's top), journaled and reloaded: the reload reports the
+   build's own counts, sweeps and build time. *)
+let test_journal_roundtrip () =
   with_temp_file (fun path ->
-      let t = Backreach.build (drift_config ()) (drift_system ()) in
-      Backreach.save_table t path;
-      (match Backreach.load path with
-      | Error e -> Alcotest.failf "table load failed: %s" e
+      let t =
+        Fun.protect ~finally:Nncs_resilience.Fault.reset (fun () ->
+            Nncs_resilience.Fault.arm ~site:"ode.simulate" ~times:1 (fun () ->
+                Nncs_ode.Apriori.Enclosure_failure "injected");
+            Backreach.build ~journal:path (drift_config ()) (drift_system ()))
+      in
+      Alcotest.(check int) "one firewalled state" 1 (Backreach.failed_states t);
+      Alcotest.(check int) "one escaping state" 1 (Backreach.escaped_states t);
+      Alcotest.(check int) "the firewalled cell 0 shortens the chain" 2
+        (Backreach.sweeps t);
+      match Backreach.load path with
+      | Error e ->
+          Alcotest.failf "journal reload failed: %s"
+            (Backreach.load_error_to_string e)
       | Ok t2 ->
-          Alcotest.(check int) "entries" (Backreach.num_unsafe t)
-            (Backreach.num_unsafe t2);
-          Alcotest.(check string) "fingerprint survives"
+          Alcotest.(check string) "fingerprint"
             (Backreach.table_fingerprint t)
             (Backreach.table_fingerprint t2);
-          check_k "k survives" t2 0.55 0.6 0 2;
-          check "safe stays safe" true
-            (Backreach.query t2
-               ~box:(B.of_bounds [| (0.0, 2.5) |])
-               ~cmd:0
-            <> Backreach.Out_of_domain));
-      (* a torn table would silently answer Safe for lost entries: the
-         trailer check must refuse it *)
-      let contents = In_channel.with_open_text path In_channel.input_all in
-      let cut = String.length contents - 60 in
-      Out_channel.with_open_text path (fun oc ->
-          Out_channel.output_string oc (String.sub contents 0 cut));
-      match Backreach.load path with
-      | Ok _ -> Alcotest.fail "torn table must not load"
-      | Error e -> check "torn table reported" true (e <> ""))
+          Alcotest.(check int) "unsafe" (Backreach.num_unsafe t)
+            (Backreach.num_unsafe t2);
+          Alcotest.(check int) "failed" (Backreach.failed_states t)
+            (Backreach.failed_states t2);
+          Alcotest.(check int) "escaped" (Backreach.escaped_states t)
+            (Backreach.escaped_states t2);
+          Alcotest.(check int) "sweeps" (Backreach.sweeps t)
+            (Backreach.sweeps t2);
+          Alcotest.(check (float 0.0)) "build time" (Backreach.build_seconds t)
+            (Backreach.build_seconds t2);
+          check_k "firewalled cell 0 is a contact" t2 0.05 0.1 0 0;
+          check_k "cell 1" t2 0.55 0.6 0 2;
+          (* without its done record the build did not finish *)
+          let lines = In_channel.with_open_text path In_channel.input_lines in
+          Out_channel.with_open_text path (fun oc ->
+              List.iter
+                (fun l ->
+                  if not (String.starts_with ~prefix:{|{"t":"done"|} l) then
+                    Printf.fprintf oc "%s\n" l)
+                lines);
+          check "a journal without its done record is incomplete" true
+            (match Backreach.load path with
+            | Error (Backreach.Incomplete { missing = 0; _ }) -> true
+            | _ -> false))
 
 (* ----- forward cross-check ----- *)
 
@@ -558,8 +634,8 @@ let () =
           Alcotest.test_case "journal + resume" `Quick test_journal_resume;
           Alcotest.test_case "resume fingerprint mismatch" `Quick
             test_resume_fingerprint_mismatch;
-          Alcotest.test_case "table round-trip + torn tail" `Quick
-            test_save_load_roundtrip;
+          Alcotest.test_case "journal round trip" `Quick
+            test_journal_roundtrip;
           Alcotest.test_case "fingerprint and table pinned" `Quick
             test_fingerprint_pinned;
         ] );

@@ -444,7 +444,7 @@ let test_scores_batch () =
         let c = Rng.uniform rng 0.0 2.0 in
         (B.of_bounds [| (c, c +. 0.3) |], i mod 2))
   in
-  let cfg = { Cache.capacity = 128; quantum = 0.005; shards = 2 } in
+  let cfg = { Cache.default_config with Cache.capacity = 128; shards = 2 } in
   List.iter
     (fun nn_splits ->
       let ctrl = two_net_controller ~nn_splits nets in
@@ -454,20 +454,20 @@ let test_scores_batch () =
           (fun (box, pc) -> Controller.abstract_scores ?cache ctrl ~box ~prev_cmd:pc)
           queries
       in
-      (* the recursive split of the selected network, on the box the
-         scorer propagates: the query's own, or its quantized cache key *)
-      let expected key =
+      (* the recursive split of the selected network on the query box:
+         the cache's keys are exact, so cached or not, the scorer
+         returns these bits *)
+      let expected =
         Array.map
           (fun (box, pc) ->
-            ref_propagate_split T.Symbolic ~splits:nn_splits nets.(pc) (key box))
+            ref_propagate_split T.Symbolic ~splits:nn_splits nets.(pc) box)
           queries
       in
       check (msg "uncached scorer bitwise") true
-        (boxes_eq_bits (expected Fun.id) (scores ()));
+        (boxes_eq_bits expected (scores ()));
       let c = Cache.create cfg in
       let cold = scores ~cache:c () in
-      check (msg "cached scorer bitwise") true
-        (boxes_eq_bits (expected (Cache.quantize cfg.Cache.quantum)) cold);
+      check (msg "cached scorer bitwise") true (boxes_eq_bits expected cold);
       check (msg "cache was populated") true ((Cache.stats c).Cache.misses > 0);
       (* second pass over a warm cache: all hits, still identical *)
       let warm = scores ~cache:c () in

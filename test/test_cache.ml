@@ -1,8 +1,10 @@
-(* Controller-abstraction cache: quantized lookups stay sound (hits
-   return supersets of the exact abstraction) even when worker domains
-   hammer the sharded table concurrently, the LRU bound holds at
-   capacity, all domains share one process-wide table, and a cached
-   verification run reports the same verdicts as an uncached one. *)
+(* Controller-abstraction cache: keys are exact, so every answer — a
+   fresh computation, a hit, or the loser of a concurrent same-key miss
+   race — carries the bits of the uncached abstraction, even when
+   worker domains hammer the sharded table concurrently; the LRU bound
+   holds at capacity, all domains share one process-wide table, and a
+   cached verification run reports the same verdicts as an uncached
+   one. *)
 
 module I = Nncs_interval.Interval
 module B = Nncs_interval.Box
@@ -23,109 +25,64 @@ module Partition = Nncs.Partition
 
 let check = Alcotest.(check bool)
 
-(* ----- quantization ----- *)
+let cache_config ~capacity ~shards = { Cache.default_config with capacity; shards }
 
-let random_box rng dim w =
-  B.of_bounds
-    (Array.init dim (fun _ ->
-         let c = Rng.uniform rng (-1.0) 1.0 in
-         (c -. w, c +. w)))
+(* bit-for-bit equality of two boxes, so -0.0 and 0.0 differ *)
+let same_bits a b =
+  let bits x = Int64.bits_of_float x in
+  B.dim a = B.dim b
+  && List.for_all
+       (fun k ->
+         let x = B.get a k and y = B.get b k in
+         Int64.equal (bits (I.lo x)) (bits (I.lo y))
+         && Int64.equal (bits (I.hi x)) (bits (I.hi y)))
+       (List.init (B.dim a) Fun.id)
 
-let test_quantize_contains () =
-  let rng = Rng.create 11 in
-  for _ = 1 to 200 do
-    let box = random_box rng 4 (Rng.uniform rng 0.0 0.3) in
-    let q = Rng.uniform rng 1e-6 0.1 in
-    let qbox = Cache.quantize q box in
-    check "quantized box contains the original" true (B.subset box qbox);
-    (* idempotent: grid points snap to themselves *)
-    check "quantization is idempotent" true (B.subset qbox (Cache.quantize q qbox))
-  done;
-  let box = random_box rng 3 0.1 in
-  check "quantum 0 is the identity" true (Cache.quantize 0.0 box == box)
+(* A fixed pool of query boxes around random centres: repeated draws
+   from it recur as exact keys. *)
+let box_pool rng ~size ~dim ~spread ~half_width =
+  Array.init size (fun _ ->
+      B.of_bounds
+        (Array.init dim (fun _ ->
+             let c = Rng.uniform rng (-.spread) spread in
+             let w = half_width +. Rng.uniform rng 0.0 (half_width /. 2.0) in
+             (c -. w, c +. w))))
 
-(* Outward snapping must keep containment even where floating-point
-   rounding bites: |bound| / quantum near or past 2^52, quanta below one
-   ulp of the bound, and divisions that overflow to infinity (the
-   implementation falls back to the raw bound there). *)
-let test_quantize_extreme_magnitudes () =
-  let q = 0.005 in
-  List.iter
-    (fun x ->
-      let box = B.of_bounds [| (x, x *. 1.0000001) |] in
-      check
-        (Printf.sprintf "containment at %g" x)
-        true
-        (B.subset box (Cache.quantize q box)))
-    [ 1e15; 4.5e16; 7.3e17; 1e300; Float.max_float /. 2.0 ];
-  List.iter
-    (fun x ->
-      let box = B.of_bounds [| (x *. 1.0000001, x) |] in
-      check
-        (Printf.sprintf "containment at %g" x)
-        true
-        (B.subset box (Cache.quantize q box)))
-    [ -1e15; -4.5e16; -7.3e17; -1e300; -.Float.max_float /. 2.0 ]
+let test_nonzero_quantum_refused () =
+  check "quantum 0.005 raises Invalid_argument" true
+    (match Cache.create { Cache.default_config with quantum = 0.005 } with
+    | _ -> false
+    | exception Invalid_argument _ -> true)
 
-let prop_quantize_extreme_sound =
-  QCheck.Test.make ~count:2000
-    ~name:"outward quantization contains the box at any magnitude"
-    QCheck.(
-      pair
-        (pair (float_range (-1.0) 1.0) (int_range 0 300))
-        (pair (int_range (-12) 2) (float_range 0.0 0.5)))
-    (fun ((m, e), (qe, w)) ->
-      let scale = 10.0 ** float_of_int e in
-      let lo = m *. scale in
-      let hi = lo +. (w *. scale) in
-      let q = 10.0 ** float_of_int qe in
-      QCheck.assume (Float.is_finite lo && Float.is_finite hi && lo <= hi);
-      let box = B.of_bounds [| (lo, hi) |] in
-      let qbox = Cache.quantize q box in
-      B.subset box qbox
-      && Float.is_finite (I.lo (B.get qbox 0))
-      && Float.is_finite (I.hi (B.get qbox 0)))
-
-(* ----- soundness of cached abstraction under quantization ----- *)
+(* ----- cached abstraction: the uncached bits, hit or miss ----- *)
 
 let test_cached_propagation_sound () =
   let rng = Rng.create 29 in
   let net = Net.create_mlp ~rng ~layer_sizes:[ 3; 10; 10; 2 ] in
-  let cache = Cache.create { Cache.capacity = 64; quantum = 0.02; shards = 4 } in
+  let cache = Cache.create (cache_config ~capacity:64 ~shards:4) in
   let f b = T.propagate T.Symbolic net b in
-  (* clustered queries: many boxes snap to the same quantized key, so
-     later ones are served from the cache — every answer must still
-     enclose the exact (uncached) abstraction of the query box *)
-  let centers =
-    Array.init 10 (fun _ -> Array.init 3 (fun _ -> Rng.uniform rng (-0.5) 0.5))
-  in
+  (* repeated queries from a pool smaller than the table: later ones
+     are hits, and every answer must be the uncached abstraction's
+     bits *)
+  let pool = box_pool rng ~size:10 ~dim:3 ~spread:0.5 ~half_width:0.01 in
+  let drawn = Array.make (Array.length pool) false in
   for _ = 1 to 300 do
-    let center = centers.(Rng.int rng (Array.length centers)) in
-    let box =
-      B.of_bounds
-        (Array.map
-           (fun c ->
-             let j = Rng.uniform rng 0.0 0.004 in
-             (c -. 0.01 -. j, c +. 0.01 +. j))
-           center)
-    in
-    let cached = Cache.find_or_compute cache ~net_id:0 ~cmd:0 box f in
-    check "cached result encloses the exact abstraction" true
-      (B.subset (f box) cached)
+    let i = Rng.int rng (Array.length pool) in
+    drawn.(i) <- true;
+    let cached = Cache.find_or_compute cache ~net_id:0 ~cmd:0 pool.(i) f in
+    check "cached result is the uncached abstraction" true
+      (same_bits (f pool.(i)) cached)
   done;
+  let distinct = Array.fold_left (fun a d -> if d then a + 1 else a) 0 drawn in
   let s = Cache.stats cache in
-  check "clustered queries produced hits" true (s.Cache.hits > 0);
-  check "hit rate consistent" true
-    (Float.abs
-       (Cache.hit_rate cache
-       -. (float_of_int s.Cache.hits /. float_of_int (s.Cache.hits + s.Cache.misses)))
-    < 1e-12)
+  Alcotest.(check int) "one miss per distinct box" distinct s.Cache.misses;
+  Alcotest.(check int) "every other query hits" (300 - distinct) s.Cache.hits
 
 (* ----- LRU eviction at capacity ----- *)
 
 let test_lru_eviction () =
   (* one shard: the LRU order is global and eviction deterministic *)
-  let cache = Cache.create { Cache.capacity = 4; quantum = 0.0; shards = 1 } in
+  let cache = Cache.create (cache_config ~capacity:4 ~shards:1) in
   let box = B.of_bounds [| (0.0, 1.0) |] in
   let computed = ref 0 in
   let query cmd =
@@ -159,7 +116,7 @@ let test_lru_eviction () =
   Alcotest.(check int) "clear keeps statistics" 2 (Cache.stats cache).Cache.hits
 
 let test_tag_separates_entries () =
-  let cache = Cache.create { Cache.capacity = 8; quantum = 0.0; shards = 2 } in
+  let cache = Cache.create (cache_config ~capacity:8 ~shards:2) in
   let box = B.of_bounds [| (0.0, 1.0) |] in
   let wide = B.of_bounds [| (-9.0, 9.0) |] in
   let r0 =
@@ -187,22 +144,28 @@ let test_shared_cache_distinct_networks () =
   in
   let net_a = Net.create_mlp ~rng ~layer_sizes:[ 2; 8; 2 ] in
   let net_b = Net.create_mlp ~rng ~layer_sizes:[ 2; 8; 2 ] in
-  let cache = Cache.create { Cache.capacity = 64; quantum = 0.05; shards = 4 } in
+  let cache = Cache.create (cache_config ~capacity:64 ~shards:4) in
   let box = B.of_bounds [| (-0.2, 0.2); (-0.1, 0.3) |] in
-  let a = Controller.abstract_scores ~cache (ctrl net_a) ~box ~prev_cmd:0 in
-  let b = Controller.abstract_scores ~cache (ctrl net_b) ~box ~prev_cmd:0 in
-  let qbox = Cache.quantize 0.05 box in
-  check "first network's scores enclose its exact abstraction" true
-    (B.subset (T.propagate T.Symbolic net_a qbox) a);
-  check "second network's scores enclose its exact abstraction" true
-    (B.subset (T.propagate T.Symbolic net_b qbox) b);
+  let scores ?cache net = Controller.abstract_scores ?cache (ctrl net) ~box ~prev_cmd:0 in
+  let a = scores ~cache net_a in
+  let b = scores ~cache net_b in
+  check "first network's scores are its uncached abstraction" true
+    (same_bits (scores net_a) a);
+  check "second network's scores are its uncached abstraction" true
+    (same_bits (scores net_b) b);
   check "no cross-network hit: both queries computed" true
-    ((Cache.stats cache).Cache.hits = 0)
+    ((Cache.stats cache).Cache.hits = 0);
+  (* a repeat of each query hits its own network's entry *)
+  check "repeat of the first network is a hit with its bits" true
+    (same_bits a (scores ~cache net_a));
+  check "repeat of the second network is a hit with its bits" true
+    (same_bits b (scores ~cache net_b));
+  Alcotest.(check int) "both repeats hit" 2 (Cache.stats cache).Cache.hits
 
 (* ----- process-wide sharing ----- *)
 
 let test_shared_process_wide () =
-  let cfg = { Cache.capacity = 8; quantum = 0.0; shards = 2 } in
+  let cfg = cache_config ~capacity:8 ~shards:2 in
   let mine = Cache.shared cfg in
   check "same config, same table" true (Cache.shared cfg == mine);
   let workers =
@@ -219,83 +182,91 @@ let test_shared_process_wide () =
 
 (* ----- concurrent domains on one sharded table ----- *)
 
-(* Four domains hammer overlapping quantized keys on a small table: every
-   answer — fresh, hit, or the loser of a concurrent same-key miss race —
-   must still enclose the exact abstraction of the query box, and the
-   clustered traffic must actually produce cross-domain hits. *)
+(* [find_or_compute] through [f], noting whether this query computed:
+   a query that did not is a hit. *)
+let query_counting cache ~net_id box f =
+  let computed = ref false in
+  let v =
+    Cache.find_or_compute cache ~net_id ~cmd:0 box (fun b ->
+        computed := true;
+        f b)
+  in
+  (v, not !computed)
+
+(* Four domains hammer one small table.  Each draws from its seed
+   group's fixed pool of boxes; the two domains of a group share a
+   pool, so a domain's first query of a box can be answered by the
+   entry its partner stored — a cross-domain hit, which the test
+   requires.  Every answer must carry the uncached bits. *)
 let test_concurrent_hits_sound () =
   let net = Net.create_mlp ~rng:(Rng.create 5) ~layer_sizes:[ 3; 12; 12; 2 ] in
-  let cache =
-    Cache.create { Cache.capacity = 128; quantum = 0.02; shards = 4 }
-  in
+  let cache = Cache.create (cache_config ~capacity:128 ~shards:4) in
   let f b = T.propagate T.Symbolic net b in
-  let failures = Atomic.make 0 in
-  let worker seed () =
-    let rng = Rng.create seed in
-    let centers =
-      Array.init 6 (fun _ -> Array.init 3 (fun _ -> Rng.uniform rng (-0.4) 0.4))
+  let failures = Atomic.make 0 and cross_hits = Atomic.make 0 in
+  let worker i () =
+    let pool =
+      box_pool (Rng.create (100 + (i mod 2))) ~size:24 ~dim:3 ~spread:0.4
+        ~half_width:0.008
     in
+    let rng = Rng.create (200 + i) in
+    let seen = Array.make (Array.length pool) false in
     for _ = 1 to 200 do
-      let center = centers.(Rng.int rng (Array.length centers)) in
-      let box =
-        B.of_bounds
-          (Array.map
-             (fun c ->
-               let j = Rng.uniform rng 0.0 0.003 in
-               (c -. 0.008 -. j, c +. 0.008 +. j))
-             center)
-      in
-      let cached = Cache.find_or_compute cache ~net_id:0 ~cmd:0 box f in
-      if not (B.subset (f box) cached) then Atomic.incr failures
+      let j = Rng.int rng (Array.length pool) in
+      let cached, hit = query_counting cache ~net_id:0 pool.(j) f in
+      if not (same_bits (f pool.(j)) cached) then Atomic.incr failures;
+      if hit && not seen.(j) then Atomic.incr cross_hits;
+      seen.(j) <- true
     done
   in
-  let domains =
-    (* two seed groups of two domains: the domains inside a group draw
-       the same six centers, guaranteeing cross-domain key overlap *)
-    Array.init 4 (fun i -> Domain.spawn (worker (100 + (i mod 2))))
-  in
+  let domains = Array.init 4 (fun i -> Domain.spawn (worker i)) in
   Array.iter Domain.join domains;
-  Alcotest.(check int) "every concurrent answer sound" 0 (Atomic.get failures);
+  Alcotest.(check int) "every concurrent answer has the uncached bits" 0
+    (Atomic.get failures);
+  check "domains hit each other's entries" true (Atomic.get cross_hits > 0);
   let s = Cache.stats cache in
-  check "overlapping traffic produced hits" true (s.Cache.hits > 0);
   check "statistics account every query" true
     (s.Cache.hits + s.Cache.misses = 4 * 200);
   check "table bounded by capacity" true (s.Cache.size <= 128);
   check "shard sizes sum to the table size" true
     (Array.fold_left ( + ) 0 (Cache.shard_sizes cache) = s.Cache.size)
 
-(* Two networks queried concurrently through one shared table: the
-   [net_id] ([Network.uid]) key component must keep their entries apart
-   even under racy interleavings — an answer computed from the other
-   network's weights would be silently unsound. *)
+(* Two networks queried concurrently through one shared table, on the
+   same boxes: the [net_id] ([Network.uid]) key component must keep
+   their entries apart even under racy interleavings — an answer
+   computed from the other network's weights would be silently
+   unsound.  The two domains of one network share its entries. *)
 let test_concurrent_network_isolation () =
   let rng = Rng.create 23 in
   let net_a = Net.create_mlp ~rng ~layer_sizes:[ 2; 10; 2 ] in
   let net_b = Net.create_mlp ~rng ~layer_sizes:[ 2; 10; 2 ] in
-  let cache =
-    Cache.create { Cache.capacity = 64; quantum = 0.05; shards = 4 }
+  let cache = Cache.create (cache_config ~capacity:64 ~shards:4) in
+  let pool =
+    box_pool (Rng.create 31) ~size:16 ~dim:2 ~spread:0.2 ~half_width:0.02
   in
-  let failures = Atomic.make 0 in
-  let worker net () =
+  let failures = Atomic.make 0 and cross_hits = Atomic.make 0 in
+  let worker net seed () =
     let f b = T.propagate T.Symbolic net b in
-    for i = 0 to 99 do
-      let c = float_of_int (i mod 5) *. 0.05 in
-      let box = B.of_bounds [| (c -. 0.02, c +. 0.02); (-0.1, 0.1) |] in
-      let cached =
-        Cache.find_or_compute cache ~net_id:(Net.uid net) ~cmd:0 box f
-      in
-      if not (B.subset (f box) cached) then Atomic.incr failures
+    let rng = Rng.create seed in
+    let seen = Array.make (Array.length pool) false in
+    for _ = 1 to 100 do
+      let j = Rng.int rng (Array.length pool) in
+      let cached, hit = query_counting cache ~net_id:(Net.uid net) pool.(j) f in
+      if not (same_bits (f pool.(j)) cached) then Atomic.incr failures;
+      if hit && not seen.(j) then Atomic.incr cross_hits;
+      seen.(j) <- true
     done
   in
   let domains =
-    [| Domain.spawn (worker net_a); Domain.spawn (worker net_b);
-       Domain.spawn (worker net_a); Domain.spawn (worker net_b) |]
+    [| Domain.spawn (worker net_a 1); Domain.spawn (worker net_b 2);
+       Domain.spawn (worker net_a 3); Domain.spawn (worker net_b 4) |]
   in
   Array.iter Domain.join domains;
   Alcotest.(check int)
     "no cross-network contamination" 0 (Atomic.get failures);
-  (* identical query streams per network: hits only within a network *)
-  check "within-network hits occurred" true ((Cache.stats cache).Cache.hits > 0)
+  check "domains of one network hit each other's entries" true
+    (Atomic.get cross_hits > 0);
+  check "at most one entry per (network, box)" true
+    ((Cache.stats cache).Cache.size <= 2 * Array.length pool)
 
 (* ----- cached vs uncached verification verdicts ----- *)
 (* the homing loop of test_verify: x' = u, argmin picks -1 above x = 1 *)
@@ -347,7 +318,7 @@ let test_cached_verdicts_identical () =
     Partition.with_command 0
       (Partition.grid (B.of_bounds [| (1.0, 2.0) |]) ~cells:[| 8 |])
   in
-  let abs_cache = { Cache.capacity = 1024; quantum = 0.0; shards = 4 } in
+  let abs_cache = cache_config ~capacity:1024 ~shards:4 in
   let plain = Verify.verify_partition ~config:(config 1) sys cells in
   let cached =
     Verify.verify_partition ~config:(config ~abs_cache 1) sys cells
@@ -358,8 +329,8 @@ let test_cached_verdicts_identical () =
   let parallel =
     Verify.verify_partition ~config:(config ~abs_cache 4) sys cells
   in
-  (* the warm run re-asks the cold run's exact keys (quantum 0): a
-     [Reach] that stopped consulting the cache would score no hit *)
+  (* the warm run re-asks the cold run's exact keys: a [Reach] that
+     stopped consulting the cache would score no hit *)
   check "warm run hits the cache" true
     (Nncs_obs.Metrics.value hits > hits_cold);
   Alcotest.(check (float 0.0))
@@ -377,10 +348,8 @@ let () =
     [
       ( "cache",
         [
-          Alcotest.test_case "quantize contains" `Quick test_quantize_contains;
-          Alcotest.test_case "quantize extreme magnitudes" `Quick
-            test_quantize_extreme_magnitudes;
-          QCheck_alcotest.to_alcotest prop_quantize_extreme_sound;
+          Alcotest.test_case "nonzero quantum refused" `Quick
+            test_nonzero_quantum_refused;
           Alcotest.test_case "cached propagation sound" `Quick
             test_cached_propagation_sound;
           Alcotest.test_case "shared cache, distinct networks" `Quick

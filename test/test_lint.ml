@@ -128,18 +128,6 @@ let test_r6 () =
   Alcotest.(check (option string))
     "publish is P2" (Some "P2") (sev F.R6_atomic_publish)
 
-let test_r7 () =
-  let fs = lint_as "r7_effect.ml" "lib/serve/r7_effect.ml" in
-  check_counts "r7 fixture"
-    [ ("r7-dls-in-handler", 1); ("r7-perform-under-lock", 1) ]
-    fs;
-  Alcotest.(check (list string))
-    "perform-under-lock flagged in" [ "bad_perform" ]
-    (bindings_of F.R7_perform_under_lock fs);
-  Alcotest.(check (list string))
-    "dls-in-handler flagged in" [ "bad_handler" ]
-    (bindings_of F.R7_dls_in_handler fs)
-
 let test_conc_scope () =
   (* the same hazards outside lib/ and bin/ are out of concurrency
      scope *)
@@ -246,7 +234,7 @@ let test_repo_is_clean () =
         files
     in
     let fs = L.Driver.lint_sources sources in
-    (* nncs_lint fails on any finding: every rule family (R1-R7) must
+    (* nncs_lint fails on any finding: every rule family (R1-R6) must
        come back clean, not just the P1 subset *)
     Alcotest.(check (list string))
       "no findings in lib/ and bin/" []
@@ -267,7 +255,6 @@ let () =
           Alcotest.test_case "r5 guarded by" `Quick test_r5_guarded;
           Alcotest.test_case "r5 lock order" `Quick test_r5_lock_order;
           Alcotest.test_case "r6 atomic protocols" `Quick test_r6;
-          Alcotest.test_case "r7 fiber safety" `Quick test_r7;
           Alcotest.test_case "concurrency scope" `Quick test_conc_scope;
           Alcotest.test_case "suppression" `Quick test_suppression;
           Alcotest.test_case "floating allow" `Quick test_floating_allow;

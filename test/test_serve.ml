@@ -276,7 +276,7 @@ let make_server ?memo_path ?memo_capacity ?job_deadline_s () =
     {
       Server.default_config with
       Server.dispatchers = 1;
-      cache = Some { Cache.capacity = 1024; quantum = 0.0; shards = 4 };
+      cache = Some { Cache.default_config with Cache.capacity = 1024; shards = 4 };
       memo_path;
       memo_capacity;
       job_deadline_s;
