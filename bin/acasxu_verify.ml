@@ -4,9 +4,9 @@
    a per-arc summary (the data behind Fig. 9a/9b).
 
    Resilience: per-cell budgets (--cell-deadline and friends) bound the
-   damage of pathological cells; --journal checkpoints every finished
-   leaf and cell to a JSONL file and --resume restarts an interrupted
-   run, mid-cell, without recomputing them. *)
+   damage of pathological cells; --journal FILE records every finished
+   leaf, and a rerun on the same FILE replays them in place of
+   recomputing them, so an interrupted run resumes mid-cell. *)
 
 module S = Nncs_acasxu.Scenario
 module T = Nncs_acasxu.Training
@@ -14,7 +14,6 @@ module P = Nncs_acasxu.Policy
 module Verify = Nncs.Verify
 module Reach = Nncs.Reach
 module Budget = Nncs_resilience.Budget
-module Journal = Nncs_resilience.Journal
 module Backreach = Nncs_backreach.Backreach
 module B = Nncs_interval.Box
 
@@ -122,9 +121,9 @@ let run_cross_check table report =
   if cc.Backreach.findings = [] then 0 else 3
 
 let run dir arcs headings arc_sel gamma msteps order domain nn_splits
-    max_depth workers abs_cache abs_cache_shards cell_deadline cell_ode_budget cell_state_budget
-    journal_path resume tiny csv trace backreach backreach_table
-    backreach_grid cross_check quiet =
+    max_depth workers cell_deadline cell_ode_budget cell_state_budget
+    journal tiny csv trace backreach backreach_table backreach_grid
+    cross_check quiet =
   let _, networks =
     if tiny then
       T.load_or_train ~spec:T.tiny_spec ~policy_config:T.tiny_policy_config
@@ -135,7 +134,6 @@ let run dir arcs headings arc_sel gamma msteps order domain nn_splits
   let sys = S.system ~networks ~domain ~nn_splits () in
   let arc_indices = match arc_sel with [] -> None | l -> Some l in
   let cells = S.initial_cells ~arcs ~headings ?arc_indices () in
-  let total = List.length cells in
   let config =
     {
       Verify.default_config with
@@ -146,15 +144,6 @@ let run dir arcs headings arc_sel gamma msteps order domain nn_splits
           taylor_order = order;
           gamma;
           keep_sets = false;
-          abs_cache =
-            (if abs_cache <= 0 then None
-             else
-               Some
-                 {
-                   Nncs_nnabs.Cache.default_config with
-                   capacity = abs_cache;
-                   shards = abs_cache_shards;
-                 });
         };
       strategy = Verify.All_dims [ Nncs_acasxu.Defs.ix; Nncs_acasxu.Defs.iy; Nncs_acasxu.Defs.ipsi ];
       max_depth;
@@ -169,80 +158,6 @@ let run dir arcs headings arc_sel gamma msteps order domain nn_splits
     }
   in
   let states = List.map snd cells in
-  let fp = Verify.fingerprint ~config sys states in
-  (* checkpoint/resume: load finished cells (and the journaled terminal
-     leaves of interrupted cells) from the journal, then keep appending
-     to it as new work finishes.  A journal
-     written for a different partition, spec or analysis config is
-     refused: its cell indices and verdicts would be meaningless here. *)
-  let resumed =
-    match journal_path with
-    | Some path when resume && Sys.file_exists path -> (
-        let j = Verify.load_journal path in
-        match (j.Verify.meta_fingerprint, j.Verify.meta_total) with
-        | Some fp', _ when fp' <> fp ->
-            Printf.eprintf
-              "error: journal %s has problem fingerprint %s but this run's \
-               is %s\n\
-               (different partition, spec or analysis configuration) — \
-               refusing --resume.\n\
-               Delete the journal or rerun with the original settings.\n%!"
-              path fp' fp;
-            Error 2
-        | _, Some t when t <> total ->
-            Printf.eprintf
-              "error: journal %s is for a %d-cell partition, this run has \
-               %d: refusing --resume\n%!"
-              path t total;
-            Error 2
-        | mfp, _ ->
-            if mfp = None then
-              Printf.eprintf
-                "warning: journal %s predates problem fingerprints; \
-                 resuming without the compatibility check\n%!"
-                path;
-            let completed =
-              List.filter
-                (fun c -> c.Verify.index < total)
-                j.Verify.completed_cells
-            in
-            let partial =
-              List.filter (fun (i, _) -> i < total) j.Verify.partial_leaves
-            in
-            if not quiet then
-              Printf.eprintf
-                "resumed %d cell(s) and %d mid-cell leaf group(s) from \
-                 journal %s\n\
-                 %!"
-                (List.length completed) (List.length partial) path;
-            Ok (completed, partial))
-    | _ -> Ok ([], [])
-  in
-  match resumed with
-  | Error code -> code
-  | Ok (completed, partial) ->
-  let writer =
-    match journal_path with
-    | None -> None
-    | Some path ->
-        let append = completed <> [] || partial <> [] in
-        let w = Journal.create ~append path in
-        if not append then
-          Journal.write w (Verify.journal_meta ~total ~fingerprint:fp);
-        Some w
-  in
-  let on_cell =
-    Option.map
-      (fun w c -> Journal.write w (Verify.cell_report_to_json c))
-      writer
-  in
-  let on_leaf =
-    (* mid-cell checkpoints: a resume replays these leaves *)
-    Option.map
-      (fun w cell path leaf ->
-        Journal.write w (Verify.leaf_record_to_json ~cell ~path leaf))
-      writer
-  in
   let progress =
     if quiet then None
     else
@@ -254,10 +169,11 @@ let run dir arcs headings arc_sel gamma msteps order domain nn_splits
      clock of the dump covers exactly the verification run *)
   if trace <> None then Nncs_obs.Trace.enable ();
   let report =
-    Verify.verify_partition ~config ?progress ?on_cell ?on_leaf ~completed
-      ~partial sys states
+    try Verify.verify_partition ~config ?progress ?journal sys states
+    with Verify.Journal_refused msg ->
+      Printf.eprintf "error: %s\n%!" msg;
+      exit 2
   in
-  Option.iter Journal.close writer;
   (match trace with
   | None -> ()
   | Some path ->
@@ -266,7 +182,15 @@ let run dir arcs headings arc_sel gamma msteps order domain nn_splits
       if not quiet then
         Printf.eprintf "trace written to %s (dune exec bin/trace_report.exe -- %s)\n%!"
           path path);
-  if not quiet then Printf.eprintf "\n%!";
+  if not quiet then begin
+    Printf.eprintf "\n%!";
+    Option.iter
+      (fun path ->
+        Printf.eprintf "journal %s: replayed %d leaf record(s)\n%!" path
+          (Nncs_obs.Metrics.value
+             (Nncs_obs.Metrics.counter "verify.replayed_leaves")))
+      journal
+  end;
   (* aggregate per arc *)
   let arcs_seen = List.sort_uniq compare (List.map fst cells) in
   let cell_arc = Array.of_list (List.map fst cells) in
@@ -354,22 +278,6 @@ let nn_splits =
 let max_depth = Arg.(value & opt int 2 & info [ "max-depth" ] ~doc:"Split-refinement depth.")
 let workers = Arg.(value & opt int 1 & info [ "workers" ] ~doc:"Parallel domains.")
 
-let abs_cache =
-  Arg.(
-    value & opt int 0
-    & info [ "abs-cache" ]
-        ~doc:"F# memo table capacity (entries), shared by all worker \
-              domains; 0 disables caching.  Keys are exact, so a cached \
-              run reports the verdicts of an uncached one.")
-
-let abs_cache_shards =
-  Arg.(
-    value
-    & opt int Nncs_nnabs.Cache.default_config.Nncs_nnabs.Cache.shards
-    & info [ "abs-cache-shards" ]
-        ~doc:"Independently locked shards of the process-wide F# memo \
-              table (1 = a single exactly-LRU table).")
-
 let cell_deadline =
   Arg.(
     value
@@ -397,15 +305,13 @@ let journal =
     value
     & opt (some string) None
     & info [ "journal" ]
-        ~doc:"Append each finished cell's verdict to this JSONL file \
-              (checkpoint for --resume).")
-
-let resume =
-  Arg.(
-    value & flag
-    & info [ "resume" ]
-        ~doc:"With --journal: skip cells already recorded in the journal \
-              and continue appending to it.")
+        ~doc:"Record every finished leaf in this JSONL file.  A file \
+              this problem wrote is resumed in place: its leaves are \
+              replayed, not recomputed, and only new ones are appended, \
+              so a rerun after a kill continues mid-cell and a rerun on \
+              a finished file appends nothing.  A file with another \
+              fingerprint (partition, spec or analysis configuration), \
+              or without one, is refused with exit code 2.")
 
 let tiny =
   Arg.(
@@ -466,10 +372,8 @@ let cmd =
     (Cmd.info "acasxu_verify" ~doc:"Verify the ACAS Xu closed loop by reachability")
     Term.(
       const run $ dir $ arcs $ headings $ arc_sel $ gamma $ msteps $ order
-      $ domain $ nn_splits $ max_depth $ workers $ abs_cache
-      $ abs_cache_shards $ cell_deadline
-      $ cell_ode_budget $ cell_state_budget $ journal $ resume $ tiny $ csv
-      $ trace $ backreach $ backreach_table $ backreach_grid $ cross_check
-      $ quiet)
+      $ domain $ nn_splits $ max_depth $ workers $ cell_deadline
+      $ cell_ode_budget $ cell_state_budget $ journal $ tiny $ csv $ trace
+      $ backreach $ backreach_table $ backreach_grid $ cross_check $ quiet)
 
 let () = exit (Cmd.eval' cmd)

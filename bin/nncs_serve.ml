@@ -118,7 +118,7 @@ let serve_socket server path quiet =
       if Atomic.get draining && not quiet then
         Printf.eprintf "nncs_serve: drained on signal\n%!")
 
-let run dir tiny dispatchers abs_cache abs_cache_shards memo memo_capacity
+let run dir tiny dispatchers abs_cache memo memo_capacity
     max_queue max_line_bytes job_deadline backreach_table socket quiet =
   (* a client that disconnects mid-stream must not kill the resident
      server: with SIGPIPE ignored, writes to a dead peer raise
@@ -162,11 +162,7 @@ let run dir tiny dispatchers abs_cache abs_cache_shards memo memo_capacity
         (if abs_cache <= 0 then None
          else
            Some
-             {
-               Nncs_nnabs.Cache.default_config with
-               capacity = abs_cache;
-               shards = abs_cache_shards;
-             });
+             { Nncs_nnabs.Cache.default_config with capacity = abs_cache });
       memo_path = memo;
       memo_capacity = pos_opt memo_capacity;
       max_queue = pos_opt max_queue;
@@ -209,13 +205,6 @@ let abs_cache =
     & info [ "abs-cache" ]
         ~doc:"Process-wide F# memo table capacity (entries), shared by \
               every job and dispatcher; 0 disables caching.")
-
-let abs_cache_shards =
-  Arg.(
-    value
-    & opt int Nncs_nnabs.Cache.default_config.Nncs_nnabs.Cache.shards
-    & info [ "abs-cache-shards" ]
-        ~doc:"Independently locked shards of the F# memo table.")
 
 let memo =
   Arg.(
@@ -284,8 +273,8 @@ let cmd =
        ~doc:"Resident multi-query verification server for the ACAS Xu \
              closed loop")
     Term.(
-      const run $ dir $ tiny $ dispatchers $ abs_cache $ abs_cache_shards
-      $ memo $ memo_capacity $ max_queue $ max_line_bytes
-      $ job_deadline $ backreach_table $ socket $ quiet)
+      const run $ dir $ tiny $ dispatchers $ abs_cache $ memo
+      $ memo_capacity $ max_queue $ max_line_bytes $ job_deadline
+      $ backreach_table $ socket $ quiet)
 
 let () = exit (Cmd.eval' cmd)

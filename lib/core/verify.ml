@@ -214,6 +214,224 @@ let coverage_of_cells cells =
       /. float_of_int (List.length cells))
       [@lint.fp_exact "coverage percentage for reports only"]
 
+(* ----- problem fingerprint -----
+
+   A journal is only resumable against the exact partition and spec it
+   was written for: the cell indices it stores are positions in the cell
+   list, and the verdicts are relative to one erroneous set, horizon and
+   analysis config.  The fingerprint hashes a canonical rendering of all
+   of those; [Spec.t] is opaque (bare predicates), so the specs
+   contribute their names plus their sampled answers on every cell —
+   any spec change that could flip a stored verdict on some cell flips
+   at least one probe bit with overwhelming probability. *)
+
+let fingerprint ?(config = default_config) sys cells =
+  let buf = Buffer.create 1024 in
+  let addf fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
+  let addfl x = addf "%.17g;" x in
+  let cmds = sys.System.controller.Controller.commands in
+  addf "commands:%d:%d;" (Command.size cmds) (Command.dim cmds);
+  for i = 0 to Command.size cmds - 1 do
+    Array.iter addfl (Command.value cmds i)
+  done;
+  addf "horizon:%d;" sys.System.horizon_steps;
+  addfl sys.System.controller.Controller.period;
+  addf "erroneous:%s;target:%s;" sys.System.erroneous.Spec.name
+    sys.System.target.Spec.name;
+  let r = config.reach in
+  addf "reach:%d:%d:%d:%s:%b;" r.Reach.integration_steps r.Reach.taylor_order
+    r.Reach.gamma
+    (Nncs_ode.Simulate.scheme_to_string r.Reach.scheme)
+    r.Reach.early_abort;
+  addf "nn:%s:%d;"
+    (Nncs_nnabs.Transformer.domain_to_string
+       sys.System.controller.Controller.domain)
+    sys.System.controller.Controller.nn_splits;
+  (match config.strategy with
+  | All_dims dims ->
+      addf "strategy:all";
+      List.iter (addf ":%d") dims;
+      addf ";"
+  | Most_influential { candidates; take } ->
+      addf "strategy:influence:%d" take;
+      List.iter (addf ":%d") candidates;
+      addf ";");
+  addf "depth:%d;degrade:%b;" config.max_depth config.degrade;
+  List.iteri
+    (fun i (st : Symstate.t) ->
+      addf "cell:%d:%d;" i st.Symstate.cmd;
+      let b = st.Symstate.box in
+      let n = B.dim b in
+      let center = Array.make n 0.0 in
+      for d = 0 to n - 1 do
+        let iv = B.get b d in
+        addfl (I.lo iv);
+        addfl (I.hi iv);
+        center.(d) <-
+          (0.5 *. (I.lo iv +. I.hi iv))
+          [@lint.fp_exact "fingerprint probe point: any in-cell point works"]
+      done;
+      addf "probe:%b:%b:%b:%b;"
+        (sys.System.erroneous.Spec.intersects_box st)
+        (sys.System.erroneous.Spec.contains_box st)
+        (sys.System.target.Spec.contains_box st)
+        (sys.System.erroneous.Spec.contains_point center st.Symstate.cmd))
+    cells;
+  Codec.fnv1a64 (Buffer.contents buf)
+
+(* ----- the verify journal -----
+
+   A meta line naming the problem's {!fingerprint}, then one
+   {"t":"leaf",cell,path,leaf} record per terminal leaf, appended as the
+   leaf completes.  Boxes round-trip through %.17g printing, so a
+   replayed leaf is the leaf that was computed. *)
+
+module Journal = Nncs_resilience.Journal
+
+exception Journal_refused of string
+
+let leaf_result_to_json = function
+  | Completed Reach.Proved_safe -> Json.Obj [ ("verdict", Json.Str "safe") ]
+  | Completed (Reach.Reached_error { step }) ->
+      Json.Obj
+        [ ("verdict", Json.Str "unsafe"); ("step", Json.Num (float_of_int step)) ]
+  | Completed Reach.Horizon_exhausted ->
+      Json.Obj [ ("verdict", Json.Str "horizon") ]
+  | Failed f ->
+      Json.Obj [ ("verdict", Json.Str "unknown"); ("failure", Failure_.to_json f) ]
+
+let leaf_result_of_json j =
+  match Json.member "verdict" j with
+  | Some (Json.Str "safe") -> Completed Reach.Proved_safe
+  | Some (Json.Str "unsafe") -> (
+      match Json.member "step" j with
+      | Some s -> Completed (Reach.Reached_error { step = Json.to_int s })
+      | None -> raise (Json.Parse_error "leaf: unsafe without step"))
+  | Some (Json.Str "horizon") -> Completed Reach.Horizon_exhausted
+  | Some (Json.Str "unknown") -> (
+      match Json.member "failure" j with
+      | Some f -> Failed (Failure_.of_json f)
+      | None -> raise (Json.Parse_error "leaf: unknown without failure"))
+  | _ -> raise (Json.Parse_error "leaf: bad verdict")
+
+let leaf_to_json l =
+  Json.Obj
+    [
+      ("box", Codec.box_to_json l.state.Symstate.box);
+      ("cmd", Json.Num (float_of_int l.state.Symstate.cmd));
+      ("depth", Json.Num (float_of_int l.depth));
+      ("proved", Json.Bool l.proved);
+      ("result", leaf_result_to_json l.result);
+      ("rungs", Json.List (List.map (fun r -> Json.Str r) l.rungs));
+      ("elapsed", Json.Num l.elapsed);
+    ]
+
+let get ?(what = "field") j k =
+  match Json.member k j with
+  | Some v -> v
+  | None -> raise (Json.Parse_error (Printf.sprintf "%s: missing %S" what k))
+
+let leaf_of_json j =
+  let state =
+    Symstate.make (Codec.box_of_json (get ~what:"leaf" j "box"))
+      (Json.to_int (get ~what:"leaf" j "cmd"))
+  in
+  {
+    state;
+    depth = Json.to_int (get ~what:"leaf" j "depth");
+    proved = (match get ~what:"leaf" j "proved" with
+             | Json.Bool b -> b
+             | _ -> raise (Json.Parse_error "leaf: proved not a bool"));
+    result = leaf_result_of_json (get ~what:"leaf" j "result");
+    rungs =
+      (match get ~what:"leaf" j "rungs" with
+      | Json.List rs -> List.map Json.to_str rs
+      | _ -> raise (Json.Parse_error "leaf: rungs not a list"));
+    elapsed = Json.to_float (get ~what:"leaf" j "elapsed");
+  }
+
+let journal_meta ~total ~fingerprint =
+  Json.Obj
+    [
+      ("t", Json.Str "meta");
+      ("kind", Json.Str "nncs-verify-journal");
+      ("version", Json.Num 2.0);
+      ("total", Json.Num (float_of_int total));
+      ("fingerprint", Json.Str fingerprint);
+    ]
+
+let leaf_record_to_json ~cell ~path leaf =
+  Json.Obj
+    [
+      ("t", Json.Str "leaf");
+      ("cell", Json.Num (float_of_int cell));
+      ("path", Json.List (List.map (fun k -> Json.Num (float_of_int k)) path));
+      ("leaf", leaf_to_json leaf);
+    ]
+
+let leaf_record_of_json j =
+  let cell = Json.to_int (get ~what:"leaf record" j "cell") in
+  let path =
+    match get ~what:"leaf record" j "path" with
+    | Json.List ks -> List.map Json.to_int ks
+    | _ -> raise (Json.Parse_error "leaf record: path not a list")
+  in
+  (cell, path, leaf_of_json (get ~what:"leaf record" j "leaf"))
+
+(* Open [path] for a run of the problem [fingerprint] names.  Returns
+   the file's leaf records keyed by (cell, path), the last record of a
+   key winning (a resumed run re-records a leaf that was in flight when
+   its predecessor died), and a writer appending to the file.  An
+   absent or empty file is started with the meta line.  Any other file
+   must start with this problem's meta line, or it is refused: its cell
+   indices and verdicts would mean nothing here.  [Journal.fold] skips
+   torn lines; [cell] records, which journals held beside the leaf
+   records before this format, are skipped too, since each of their
+   leaves has a leaf record of its own. *)
+let open_journal path ~total ~fingerprint =
+  let refuse fmt = Printf.ksprintf (fun s -> raise (Journal_refused s)) fmt in
+  let no_meta () =
+    refuse "journal %s does not start with a verify journal meta line" path
+  in
+  let recorded = Hashtbl.create 64 in
+  let fresh =
+    (not (Sys.file_exists path)) || (Unix.stat path).Unix.st_size = 0
+  in
+  if not fresh then begin
+    let started =
+      try
+        Journal.fold path ~init:false (fun started j ->
+            match (started, Json.member "t" j) with
+            | true, Some (Json.Str "leaf") ->
+                let cell, p, leaf = leaf_record_of_json j in
+                Hashtbl.replace recorded (cell, p) leaf;
+                true
+            | true, _ -> true
+            | false, Some (Json.Str "meta") -> (
+                match Json.member "fingerprint" j with
+                | Some (Json.Str fp) when fp = fingerprint -> true
+                | Some (Json.Str fp) ->
+                    refuse
+                      "journal %s has problem fingerprint %s but this run's \
+                       is %s (different partition, spec or analysis \
+                       configuration); delete it or rerun with the original \
+                       settings"
+                      path fp fingerprint
+                | _ ->
+                    refuse
+                      "journal %s predates problem fingerprints; delete it \
+                       to start afresh"
+                      path)
+            | false, _ -> no_meta ())
+      with Json.Parse_error reason ->
+        refuse "journal %s: unreadable leaf record (%s)" path reason
+    in
+    if not started then no_meta ()
+  end;
+  let writer = Journal.create ~append:(not fresh) path in
+  if fresh then Journal.write writer (journal_meta ~total ~fingerprint);
+  (recorded, writer)
+
 (* ----- the leaf frontier -----
 
    One shared, depth-prioritized deque of *leaves*: every cell's root
@@ -224,7 +442,7 @@ let coverage_of_cells cells =
    the cell up.
 
    Priority: deepest first (a hard cell's subtree completes, bounding
-   both the frontier size and the time to its journal record), then any
+   both the frontier size and the time to its last leaf record), then any
    leaf whose per-cell budget has already expired (it terminates in
    microseconds and clears its cell's bookkeeping), then the lowest
    (cell, path).  With one worker that is exactly the depth-first
@@ -307,31 +525,19 @@ module Frontier = struct
             Some pick)
 end
 
-let verify_partition ?cancel ?(config = default_config) ?progress ?on_cell
-    ?on_leaf ?(completed = []) ?(partial = []) sys cells =
-  if config.max_depth < 0 then
-    invalid_arg "Verify.verify_partition: negative depth";
-  (match config.strategy with
-  | (All_dims [] | Most_influential { candidates = []; _ })
-    when config.max_depth > 0 ->
-      invalid_arg "Verify.verify_partition: no split dimensions"
-  | All_dims _ | Most_influential _ -> ());
+(* The frontier run behind [verify_partition]: [recorded] holds the
+   journal's terminal leaves, which are replayed without recomputation,
+   and [writer] appends each freshly computed one. *)
+let run_frontier ?cancel ~config ?progress ~recorded ?writer sys cells =
   let t0 = now () in
   let cells_arr = Array.of_list cells in
   let total = Array.length cells_arr in
   let results = Array.make total None in
-  List.iter
-    (fun (c : cell_report) ->
-      if c.index >= 0 && c.index < total then results.(c.index) <- Some c)
-    completed;
-  let pending =
-    List.filter (fun i -> results.(i) = None) (List.init total Fun.id)
-  in
   (* a shared atomic counter so every worker reports each finished cell
      live (the callback then runs on the worker's domain); a cell
      finishes exactly once, when its last leaf completes, so crash
      recovery cannot push [progress] past [total] *)
-  let done_count = Atomic.make (total - List.length pending) in
+  let done_count = Atomic.make 0 in
   let factor = float_of_int (1 lsl strategy_arity config.strategy) in
   let frontier = Frontier.create () in
   (* one budget per cell, shared by all of its leaves across domains
@@ -359,27 +565,20 @@ let verify_partition ?cancel ?(config = default_config) ?progress ?on_cell
   let live = Atomic.make 0 in
   let acc : (int list * leaf) list array = Array.make total [] in
   let acc_mutex = Mutex.create () in
-  (* mid-cell resume: terminal leaves recorded by an interrupted run are
-     replayed without recomputation; every proper prefix of a recorded
-     path is a node the interrupted run decided to split, so it is
-     re-split (deterministically) without re-running its reachability *)
-  let recorded : (int * int list, leaf) Hashtbl.t = Hashtbl.create 64 in
+  (* every proper prefix of a recorded path is a node the recording run
+     decided to split, so it is re-split (deterministically) without
+     re-running its reachability *)
   let known_split : (int * int list, unit) Hashtbl.t = Hashtbl.create 64 in
-  List.iter
-    (fun (i, leaves) ->
-      if i >= 0 && i < total then
-        List.iter
-          (fun (path, leaf) ->
-            Hashtbl.replace recorded (i, path) leaf;
-            let rec prefixes pre = function
-              | [] -> ()
-              | k :: rest ->
-                  Hashtbl.replace known_split (i, List.rev pre) ();
-                  prefixes (k :: pre) rest
-            in
-            prefixes [] path)
-          leaves)
-    partial;
+  Hashtbl.iter
+    (fun (i, path) _ ->
+      let rec prefixes pre = function
+        | [] -> ()
+        | k :: rest ->
+            Hashtbl.replace known_split (i, List.rev pre) ();
+            prefixes (k :: pre) rest
+      in
+      prefixes [] path)
+    recorded;
   let mk_task cell path depth st =
     {
       t_cell = cell;
@@ -389,9 +588,10 @@ let verify_partition ?cancel ?(config = default_config) ?progress ?on_cell
       t_done = Atomic.make false;
     }
   in
-  (* callbacks run only after all counters are consistent, and behind a
-     crash guard: a raising journal hook must degrade observability, not
-     wedge the scheduler *)
+  (* the journal write and [progress] run only after all counters are
+     consistent, and behind a crash guard: a failing write (a full disk)
+     or a raising callback must cost its record, not wedge the
+     scheduler *)
   let safely fn =
     try fn () with e when not (Firewall.fatal e) -> Metrics.incr m_worker_crashes
   in
@@ -419,10 +619,8 @@ let verify_partition ?cancel ?(config = default_config) ?progress ?on_cell
       (List.fold_left (fun a (l : leaf) -> a +. l.elapsed) 0.0 leaves)
       [@lint.fp_exact "wall-clock telemetry (sum of per-leaf compute time)"]
     in
-    let report = { index = c; leaves; proved_fraction; elapsed } in
-    results.(c) <- Some report;
-    Metrics.incr m_cells;
-    report
+    results.(c) <- Some { index = c; leaves; proved_fraction; elapsed };
+    Metrics.incr m_cells
   in
   let complete_terminal ?(replay = false) task leaf =
     if not (Atomic.exchange task.t_done true) then begin
@@ -431,21 +629,18 @@ let verify_partition ?cancel ?(config = default_config) ?progress ?on_cell
         ~finally:(fun () -> Mutex.unlock acc_mutex)
         (fun () -> acc.(task.t_cell) <- (task.t_path, leaf) :: acc.(task.t_cell));
       let rem = Atomic.fetch_and_add cell_pending.(task.t_cell) (-1) - 1 in
-      let report = if rem = 0 then Some (finish_cell task.t_cell) else None in
+      if rem = 0 then finish_cell task.t_cell;
       Atomic.decr live;
-      (if not replay then
-         safely (fun () ->
-             match on_leaf with
-             | Some f -> f task.t_cell task.t_path leaf
-             | None -> ()));
-      match report with
-      | Some r ->
+      (match writer with
+      | Some w when not replay ->
           safely (fun () ->
-              match on_cell with Some f -> f r | None -> ());
-          safely (fun () ->
-              let d = Atomic.fetch_and_add done_count 1 + 1 in
-              match progress with Some f -> f d total | None -> ())
-      | None -> ()
+              Journal.write w
+                (leaf_record_to_json ~cell:task.t_cell ~path:task.t_path leaf))
+      | _ -> ());
+      if rem = 0 then
+        safely (fun () ->
+            let d = Atomic.fetch_and_add done_count 1 + 1 in
+            match progress with Some f -> f d total | None -> ())
     end
   in
   let push_children task children =
@@ -580,13 +775,13 @@ let verify_partition ?cancel ?(config = default_config) ?progress ?on_cell
            end);
         worker_loop w
   in
-  List.iter
-    (fun i ->
+  Array.iteri
+    (fun i st ->
       Atomic.set cell_pending.(i) 1;
       Atomic.incr live;
-      Frontier.push frontier (mk_task i [] 0 cells_arr.(i)))
-    pending;
-  if pending <> [] then
+      Frontier.push frontier (mk_task i [] 0 st))
+    cells_arr;
+  if total > 0 then
     if config.workers <= 1 then worker_loop 0
     else begin
       let domains =
@@ -625,135 +820,37 @@ let verify_partition ?cancel ?(config = default_config) ?progress ?on_cell
     total_cells = total;
   }
 
-(* ----- problem fingerprint -----
-
-   A journal is only resumable against the exact partition and spec it
-   was written for: the cell indices it stores are positions in the cell
-   list, and the verdicts are relative to one erroneous set, horizon and
-   analysis config.  The fingerprint hashes a canonical rendering of all
-   of those; [Spec.t] is opaque (bare predicates), so the specs
-   contribute their names plus their sampled answers on every cell —
-   any spec change that could flip a stored verdict on some cell flips
-   at least one probe bit with overwhelming probability. *)
-
-let fingerprint ?(config = default_config) sys cells =
-  let buf = Buffer.create 1024 in
-  let addf fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  let addfl x = addf "%.17g;" x in
-  let cmds = sys.System.controller.Controller.commands in
-  addf "commands:%d:%d;" (Command.size cmds) (Command.dim cmds);
-  for i = 0 to Command.size cmds - 1 do
-    Array.iter addfl (Command.value cmds i)
-  done;
-  addf "horizon:%d;" sys.System.horizon_steps;
-  addfl sys.System.controller.Controller.period;
-  addf "erroneous:%s;target:%s;" sys.System.erroneous.Spec.name
-    sys.System.target.Spec.name;
-  let r = config.reach in
-  addf "reach:%d:%d:%d:%s:%b;" r.Reach.integration_steps r.Reach.taylor_order
-    r.Reach.gamma
-    (Nncs_ode.Simulate.scheme_to_string r.Reach.scheme)
-    r.Reach.early_abort;
-  addf "nn:%s:%d;"
-    (Nncs_nnabs.Transformer.domain_to_string
-       sys.System.controller.Controller.domain)
-    sys.System.controller.Controller.nn_splits;
+let verify_partition ?cancel ?(config = default_config) ?progress ?journal
+    sys cells =
+  if config.max_depth < 0 then
+    invalid_arg "Verify.verify_partition: negative depth";
   (match config.strategy with
-  | All_dims dims ->
-      addf "strategy:all";
-      List.iter (addf ":%d") dims;
-      addf ";"
-  | Most_influential { candidates; take } ->
-      addf "strategy:influence:%d" take;
-      List.iter (addf ":%d") candidates;
-      addf ";");
-  addf "depth:%d;degrade:%b;" config.max_depth config.degrade;
-  List.iteri
-    (fun i (st : Symstate.t) ->
-      addf "cell:%d:%d;" i st.Symstate.cmd;
-      let b = st.Symstate.box in
-      let n = B.dim b in
-      let center = Array.make n 0.0 in
-      for d = 0 to n - 1 do
-        let iv = B.get b d in
-        addfl (I.lo iv);
-        addfl (I.hi iv);
-        center.(d) <-
-          (0.5 *. (I.lo iv +. I.hi iv))
-          [@lint.fp_exact "fingerprint probe point: any in-cell point works"]
-      done;
-      addf "probe:%b:%b:%b:%b;"
-        (sys.System.erroneous.Spec.intersects_box st)
-        (sys.System.erroneous.Spec.contains_box st)
-        (sys.System.target.Spec.contains_box st)
-        (sys.System.erroneous.Spec.contains_point center st.Symstate.cmd))
-    cells;
-  Codec.fnv1a64 (Buffer.contents buf)
+  | (All_dims [] | Most_influential { candidates = []; _ })
+    when config.max_depth > 0 ->
+      invalid_arg "Verify.verify_partition: no split dimensions"
+  | All_dims _ | Most_influential _ -> ());
+  match journal with
+  | None ->
+      run_frontier ?cancel ~config ?progress ~recorded:(Hashtbl.create 1) sys
+        cells
+  | Some path ->
+      (* read, or refused, before any work *)
+      let recorded, writer =
+        open_journal path ~total:(List.length cells)
+          ~fingerprint:(fingerprint ~config sys cells)
+      in
+      Fun.protect
+        ~finally:(fun () -> Journal.close writer)
+        (fun () ->
+          run_frontier ?cancel ~config ?progress ~recorded ~writer sys cells)
 
-(* ----- journal serialization -----
+(* ----- whole-report serialization -----
 
-   One JSON object per cell, self-contained enough to reconstruct the
-   cell_report exactly: boxes round-trip through %.17g printing. *)
-
-let leaf_result_to_json = function
-  | Completed Reach.Proved_safe -> Json.Obj [ ("verdict", Json.Str "safe") ]
-  | Completed (Reach.Reached_error { step }) ->
-      Json.Obj
-        [ ("verdict", Json.Str "unsafe"); ("step", Json.Num (float_of_int step)) ]
-  | Completed Reach.Horizon_exhausted ->
-      Json.Obj [ ("verdict", Json.Str "horizon") ]
-  | Failed f ->
-      Json.Obj [ ("verdict", Json.Str "unknown"); ("failure", Failure_.to_json f) ]
-
-let leaf_result_of_json j =
-  match Json.member "verdict" j with
-  | Some (Json.Str "safe") -> Completed Reach.Proved_safe
-  | Some (Json.Str "unsafe") -> (
-      match Json.member "step" j with
-      | Some s -> Completed (Reach.Reached_error { step = Json.to_int s })
-      | None -> raise (Json.Parse_error "leaf: unsafe without step"))
-  | Some (Json.Str "horizon") -> Completed Reach.Horizon_exhausted
-  | Some (Json.Str "unknown") -> (
-      match Json.member "failure" j with
-      | Some f -> Failed (Failure_.of_json f)
-      | None -> raise (Json.Parse_error "leaf: unknown without failure"))
-  | _ -> raise (Json.Parse_error "leaf: bad verdict")
-
-let leaf_to_json l =
-  Json.Obj
-    [
-      ("box", Codec.box_to_json l.state.Symstate.box);
-      ("cmd", Json.Num (float_of_int l.state.Symstate.cmd));
-      ("depth", Json.Num (float_of_int l.depth));
-      ("proved", Json.Bool l.proved);
-      ("result", leaf_result_to_json l.result);
-      ("rungs", Json.List (List.map (fun r -> Json.Str r) l.rungs));
-      ("elapsed", Json.Num l.elapsed);
-    ]
-
-let get ?(what = "field") j k =
-  match Json.member k j with
-  | Some v -> v
-  | None -> raise (Json.Parse_error (Printf.sprintf "%s: missing %S" what k))
-
-let leaf_of_json j =
-  let state =
-    Symstate.make (Codec.box_of_json (get ~what:"leaf" j "box"))
-      (Json.to_int (get ~what:"leaf" j "cmd"))
-  in
-  {
-    state;
-    depth = Json.to_int (get ~what:"leaf" j "depth");
-    proved = (match get ~what:"leaf" j "proved" with
-             | Json.Bool b -> b
-             | _ -> raise (Json.Parse_error "leaf: proved not a bool"));
-    result = leaf_result_of_json (get ~what:"leaf" j "result");
-    rungs =
-      (match get ~what:"leaf" j "rungs" with
-      | Json.List rs -> List.map Json.to_str rs
-      | _ -> raise (Json.Parse_error "leaf: rungs not a list"));
-    elapsed = Json.to_float (get ~what:"leaf" j "elapsed");
-  }
+   The verdict memo of a resident verification service (Nncs_serve)
+   stores and journals entire reports keyed by problem fingerprint, so a
+   repeated query replays the full per-cell answer without re-running
+   any analysis.  Round-trips exactly, like the journal's leaf
+   records. *)
 
 let cell_report_to_json c =
   Json.Obj
@@ -775,107 +872,6 @@ let cell_report_of_json j =
       | Json.List ls -> List.map leaf_of_json ls
       | _ -> raise (Json.Parse_error "cell: leaves not a list"));
   }
-
-let journal_meta ~total ~fingerprint =
-  Json.Obj
-    [
-      ("t", Json.Str "meta");
-      ("kind", Json.Str "nncs-verify-journal");
-      ("version", Json.Num 2.0);
-      ("total", Json.Num (float_of_int total));
-      ("fingerprint", Json.Str fingerprint);
-    ]
-
-(* a terminal leaf, journaled through [on_leaf] so [--resume] restarts
-   mid-cell *)
-let leaf_record_to_json ~cell ~path leaf =
-  Json.Obj
-    [
-      ("t", Json.Str "leaf");
-      ("cell", Json.Num (float_of_int cell));
-      ("path", Json.List (List.map (fun k -> Json.Num (float_of_int k)) path));
-      ("leaf", leaf_to_json leaf);
-    ]
-
-let leaf_record_of_json j =
-  let cell = Json.to_int (get ~what:"leaf record" j "cell") in
-  let path =
-    match get ~what:"leaf record" j "path" with
-    | Json.List ks -> List.map Json.to_int ks
-    | _ -> raise (Json.Parse_error "leaf record: path not a list")
-  in
-  (cell, path, leaf_of_json (get ~what:"leaf record" j "leaf"))
-
-type journal_contents = {
-  meta_total : int option;
-  meta_fingerprint : string option;
-  completed_cells : cell_report list;
-  partial_leaves : (int * (int list * leaf) list) list;
-}
-
-let load_journal path =
-  let lines = Nncs_resilience.Journal.load path in
-  let tag j = Json.member "t" j in
-  let meta_total =
-    List.find_map
-      (fun j ->
-        if tag j = Some (Json.Str "meta") then
-          Option.map Json.to_int (Json.member "total" j)
-        else None)
-      lines
-  in
-  let meta_fingerprint =
-    List.find_map
-      (fun j ->
-        if tag j = Some (Json.Str "meta") then
-          Option.map Json.to_str (Json.member "fingerprint" j)
-        else None)
-      lines
-  in
-  let cells =
-    List.filter_map
-      (fun j ->
-        if tag j = Some (Json.Str "cell") then Some (cell_report_of_json j)
-        else None)
-      lines
-  in
-  (* keep the last record per index: a resumed run may have re-journaled
-     a cell that was in flight when its predecessor died *)
-  let tbl = Hashtbl.create 64 in
-  List.iter (fun c -> Hashtbl.replace tbl c.index c) cells;
-  let completed_cells =
-    Hashtbl.fold (fun _ c acc -> c :: acc) tbl []
-    |> List.sort (fun a b -> Int.compare a.index b.index)
-  in
-  (* leaf records for cells without a full report: last record per
-     (cell, path) wins, same reasoning as above *)
-  let leaf_tbl : (int * int list, leaf) Hashtbl.t = Hashtbl.create 64 in
-  List.iter
-    (fun j ->
-      if tag j = Some (Json.Str "leaf") then begin
-        let cell, p, leaf = leaf_record_of_json j in
-        if not (Hashtbl.mem tbl cell) then
-          Hashtbl.replace leaf_tbl (cell, p) leaf
-      end)
-    lines;
-  let by_cell : (int, (int list * leaf) list) Hashtbl.t = Hashtbl.create 16 in
-  Hashtbl.iter
-    (fun (cell, p) leaf ->
-      let prev = Option.value ~default:[] (Hashtbl.find_opt by_cell cell) in
-      Hashtbl.replace by_cell cell ((p, leaf) :: prev))
-    leaf_tbl;
-  let partial_leaves =
-    Hashtbl.fold (fun cell ls acc -> (cell, ls) :: acc) by_cell []
-    |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
-  in
-  { meta_total; meta_fingerprint; completed_cells; partial_leaves }
-
-(* ----- whole-report serialization -----
-
-   The verdict memo of a resident verification service (Nncs_serve)
-   stores and journals entire reports keyed by problem fingerprint, so a
-   repeated query replays the full per-cell answer without re-running
-   any analysis.  Round-trips exactly, like the per-cell records. *)
 
 let report_to_json r =
   Json.Obj

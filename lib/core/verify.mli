@@ -91,14 +91,16 @@ type report = {
 val leaf_failure : leaf -> Nncs_resilience.Failure.t option
 val cell_has_failure : cell_report -> bool
 
+exception Journal_refused of string
+(** Raised by {!verify_partition}, before any work, when its [journal]
+    file was not written for this problem.  The message names the file,
+    and both fingerprints when there are two. *)
+
 val verify_partition :
   ?cancel:Nncs_resilience.Cancel.t ->
   ?config:config ->
   ?progress:(int -> int -> unit) ->
-  ?on_cell:(cell_report -> unit) ->
-  ?on_leaf:(int -> int list -> leaf -> unit) ->
-  ?completed:cell_report list ->
-  ?partial:(int * (int list * leaf) list) list ->
+  ?journal:string ->
   System.t ->
   Symstate.t list ->
   report
@@ -111,9 +113,9 @@ val verify_partition :
     cell's budget has expired, then the lowest (cell index, path):
     with one worker that is exactly the depth-first recursion of
     Section 7.1 (cells in index order, each refinement tree in
-    pre-order), so callbacks, journal records and step-budget verdicts
-    follow that order.  Once a cell's budget is exhausted, or [cancel]
-    is tripped, the cell stops refining.
+    pre-order), so journal records and step-budget verdicts follow
+    that order.  Once a cell's budget is exhausted, or [cancel] is
+    tripped, the cell stops refining.
 
     Reports are reassembled deterministically: each cell's leaves are
     sorted by path, which is the depth-first order, so verdicts,
@@ -121,15 +123,10 @@ val verify_partition :
     are budget-independent; per-leaf [elapsed] telemetry naturally
     varies between runs.
 
-    Callbacks fire live from the worker that finished the work, so
-    they must tolerate concurrent invocation:
-    - [on_leaf cell path leaf] for every freshly computed {e terminal}
-      leaf ([path] is the child-index path from the cell's root, [[]]
-      for an unsplit cell) — the mid-cell journaling hook;
-    - [on_cell] for each freshly computed cell report (but not the
-      pre-[completed] ones) — the per-cell journaling hook;
-    - [progress done total] after each finished cell.  Each cell
-      finishes exactly once, so [progress] never passes [total].
+    [progress done total] fires live, from the worker that finished
+    the cell, after each finished cell (replayed ones included), so it
+    must tolerate concurrent invocation.  Each cell finishes exactly
+    once, so [progress] never passes [total].
 
     Fault isolation: a leaf whose analysis escapes every firewall is
     recorded as [Unknown (Worker_crashed _)] and its siblings go on; a
@@ -137,13 +134,25 @@ val verify_partition :
     are re-queued ([resilience.requeued_leaves]) and run by the
     surviving workers or the calling domain.
 
-    [completed] (e.g. {!load_journal}[.completed_cells]) pre-fills
-    results by [index]; those cells are skipped, not recomputed.
-    [partial] ({!load_journal}[.partial_leaves]) replays terminal
-    leaves of interrupted cells: recorded leaves are not recomputed
-    (and not re-journaled through [on_leaf]), interior nodes on the
-    way to them re-split deterministically without re-running
-    reachability.
+    [journal] names the run's journal: a meta line carrying the
+    problem {!fingerprint}, then one [{"t":"leaf",cell,path,leaf}]
+    record per terminal leaf ([path] is the child-index path from the
+    cell's root, [[]] for an unsplit cell), appended and flushed as the
+    leaf completes.
+    - An absent or empty file is started with the meta line.
+    - A file that starts with this problem's meta line is resumed in
+      place: its leaf records are replayed without recomputation
+      ([verify.replayed_leaves]), the nodes above them are re-split
+      without re-running reachability, and only new leaves are
+      appended.  A finished journal therefore replays in full and
+      appends nothing.  Torn lines (a kill mid-write) are skipped, and
+      so are [cell] records, which journals held beside the leaf
+      records before this format.
+    - Any other file (another fingerprint, a meta line without one, no
+      meta line) raises {!Journal_refused} before any work.
+
+    A failing write costs its record, not the run, and the file is
+    closed on every exit.
 
     [cancel] threads a cooperative cancellation token into every cell
     budget: once tripped, in-flight leaves unwind at their next budget
@@ -160,61 +169,21 @@ val influence_order : System.t -> Symstate.t -> int list -> int list
     probes run uncached: their half-cells are not what the reachability
     steps query, so they would only fill the cache. *)
 
-(** {1 Journal serialization}
-
-    One self-contained JSON object per cell; boxes round-trip through
-    17-digit printing, so a resumed run reproduces the interrupted one's
-    reports exactly. *)
-
-val cell_report_to_json : cell_report -> Nncs_obs.Json.t
-val cell_report_of_json : Nncs_obs.Json.t -> cell_report
-val leaf_to_json : leaf -> Nncs_obs.Json.t
-val leaf_of_json : Nncs_obs.Json.t -> leaf
-
 val fingerprint : ?config:config -> System.t -> Symstate.t list -> string
 (** A 16-hex-digit digest of the verification problem: the partition
     (cell boxes and commands), the command set, horizon and period, the
     spec names plus their sampled answers on every cell, and the
     analysis config (reach parameters, abstraction domain, split
     strategy, depth, degradation).  Two runs with the same fingerprint
-    store compatible journals; a resume against a differing fingerprint
-    must be refused — the journal's cell indices and verdicts would be
+    store compatible journals; {!verify_partition} refuses a journal
+    with another one — its cell indices and verdicts would be
     meaningless.  [Spec.t] holds opaque predicates, so spec changes are
     detected through the per-cell probe bits rather than the predicate
     text. *)
 
-val journal_meta : total:int -> fingerprint:string -> Nncs_obs.Json.t
-(** The journal header line, recording the partition size and the
-    problem {!fingerprint} so a resume against a different partition or
-    spec is detected. *)
-
-val leaf_record_to_json : cell:int -> path:int list -> leaf -> Nncs_obs.Json.t
-(** A terminal leaf, journaled through the [on_leaf] hook of
-    {!verify_partition} so [--resume] can restart mid-cell. *)
-
-val leaf_record_of_json : Nncs_obs.Json.t -> int * int list * leaf
-
-type journal_contents = {
-  meta_total : int option;  (** the meta line's [total], if present *)
-  meta_fingerprint : string option;
-      (** the meta line's problem fingerprint (absent in v1 journals) *)
-  completed_cells : cell_report list;
-      (** full cell reports, deduplicated by index (last record wins),
-          sorted by index *)
-  partial_leaves : (int * (int list * leaf) list) list;
-      (** per cell {e without} a full report: its journaled terminal
-          leaves keyed by path (last record per path wins), sorted by
-          cell — feed to [verify_partition ~partial] *)
-}
-
-val load_journal : string -> journal_contents
-(** Parse a journal file.  Malformed lines (e.g. a crash-truncated
-    partial record, possibly followed by later appends) are skipped with
-    a warning on stderr — see {!Nncs_resilience.Journal.load}. *)
-
 val report_to_json : report -> Nncs_obs.Json.t
-(** The whole report as one JSON object ({!cell_report_to_json} per
-    cell); round-trips exactly.  Used by the verification service's
+(** The whole report as one JSON object, one [{"t":"cell",...}] object
+    per cell; round-trips exactly.  Used by the verification service's
     fingerprint-keyed verdict memo. *)
 
 val report_of_json : Nncs_obs.Json.t -> report

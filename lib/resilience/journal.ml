@@ -9,7 +9,28 @@ module Json = Nncs_obs.Json
    anyway. *)
 type writer = { oc : out_channel; mutex : Mutex.t; mutable closed : bool }
 
+(* The length of [path] up to and including its last newline. *)
+let complete_length path =
+  In_channel.with_open_bin path (fun ic ->
+      let rec back hi =
+        if hi = 0 then 0
+        else begin
+          let lo = max 0 (hi - 4096) in
+          In_channel.seek ic (Int64.of_int lo);
+          match String.rindex_opt (really_input_string ic (hi - lo)) '\n' with
+          | Some i -> lo + i + 1
+          | None -> back lo
+        end
+      in
+      back (Int64.to_int (In_channel.length ic)))
+
 let create ?(append = false) path =
+  (* a crash mid-write leaves a last line without its newline: cut it
+     off, or the first record appended would be glued to it and lost
+     with it on the next load *)
+  (if append && Sys.file_exists path then
+     let keep = complete_length path in
+     if keep < (Unix.stat path).Unix.st_size then Unix.truncate path keep);
   let flags =
     if append then [ Open_wronly; Open_creat; Open_append ]
     else [ Open_wronly; Open_creat; Open_trunc ]

@@ -11,8 +11,10 @@ type writer
 
 val create : ?append:bool -> string -> writer
 (** Open [path] for journaling; truncates unless [append] (default
-    false).  Writes are mutex-protected: worker domains may append
-    concurrently. *)
+    false).  With [append], a torn last line (one without its newline,
+    left by a crash mid-write) is cut off first, so the next record
+    starts a line of its own.  Writes are mutex-protected: worker
+    domains may append concurrently. *)
 
 val write : writer -> Nncs_obs.Json.t -> unit
 (** Serialize on one line and flush.  A write after {!close} is a

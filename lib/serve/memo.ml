@@ -23,7 +23,6 @@ type t = {
   table : (string, entry) Hashtbl.t;
   sentinel : entry;
   capacity : int option;
-  compact_factor : int;
   path : string option;
   mutable writer : Journal.writer option;
   mutable journal_lines : int;
@@ -113,15 +112,12 @@ let compact_locked t =
   | _ -> ()
 
 (* Dead lines (evicted or superseded entries) are tolerated until they
-   dominate the file: compaction runs when the journal exceeds
-   [compact_factor] times the live size.  The [> live] guard makes the
-   trigger a no-op on a dead-line-free journal regardless of factor. *)
+   dominate the file: compaction runs when the journal exceeds four
+   times the live size. *)
 let maybe_compact_locked t =
-  let live = Hashtbl.length t.table in
   if
     Option.is_some t.writer
-    && t.journal_lines > live
-    && t.journal_lines > t.compact_factor * max 1 live
+    && t.journal_lines > 4 * max 1 (Hashtbl.length t.table)
   then compact_locked t
 
 (* Replay tolerates individual bad records, not just bad lines: a
@@ -131,47 +127,43 @@ let maybe_compact_locked t =
    stores, so a journal longer than the capacity keeps only the newest
    [capacity] entries. *)
 let replay t path =
-  let records = Journal.load path in
-  t.journal_lines <- List.length records;
-  List.iter
-    (fun j ->
-      match (J.member "t" j, J.member "fingerprint" j, J.member "report" j) with
-      | Some (J.Str "verdict_memo"), Some (J.Str fp), Some r -> (
-          match Verify.report_of_json r with
-          | report ->
-              (* last record wins: journals are append-ordered, so the
-                 later record is the newer one *)
-              (match Hashtbl.find_opt t.table fp with
-              | Some e ->
-                  unlink e;
-                  Hashtbl.remove t.table fp
-              | None -> ());
-              ignore (insert_locked t fp report)
-          (* not only [Parse_error]: a corrupt record can fail deeper
-             down, e.g. [Invalid_argument] from box bounds with
-             [lo > hi].  Only genuinely fatal exceptions abort
-             startup. *)
-          | exception ((Out_of_memory | Stack_overflow | Sys.Break) as e) ->
-              raise e
-          | exception e ->
-              Printf.eprintf
-                "warning: memo %s: skipping unreadable report for %s (%s)\n%!"
-                path fp (Printexc.to_string e))
-      | _ -> ())
-    records
+  t.journal_lines <-
+    Journal.fold path ~init:0 (fun lines j ->
+        (match (J.member "t" j, J.member "fingerprint" j, J.member "report" j) with
+        | Some (J.Str "verdict_memo"), Some (J.Str fp), Some r -> (
+            match Verify.report_of_json r with
+            | report ->
+                (* last record wins: journals are append-ordered, so the
+                   later record is the newer one *)
+                (match Hashtbl.find_opt t.table fp with
+                | Some e ->
+                    unlink e;
+                    Hashtbl.remove t.table fp
+                | None -> ());
+                ignore (insert_locked t fp report)
+            (* not only [Parse_error]: a corrupt record can fail deeper
+               down, e.g. [Invalid_argument] from box bounds with
+               [lo > hi].  Only genuinely fatal exceptions abort
+               startup. *)
+            | exception ((Out_of_memory | Stack_overflow | Sys.Break) as e) ->
+                raise e
+            | exception e ->
+                Printf.eprintf
+                  "warning: memo %s: skipping unreadable report for %s (%s)\n%!"
+                  path fp (Printexc.to_string e))
+        | _ -> ());
+        lines + 1)
 
-let create ?path ?capacity ?(compact_factor = 4) () =
+let create ?path ?capacity () =
   (match capacity with
   | Some c when c <= 0 -> invalid_arg "Memo.create: non-positive capacity"
   | _ -> ());
-  if compact_factor < 2 then invalid_arg "Memo.create: compact factor < 2";
   let t =
     {
       lock = Mutex.create ();
       table = Hashtbl.create 64;
       sentinel = make_sentinel ();
       capacity;
-      compact_factor;
       path;
       writer = None;
       journal_lines = 0;

@@ -24,25 +24,23 @@
     Optionally backed by an append-only JSONL journal (one
     [{"t":"verdict_memo","fingerprint":F,"report":R}] line per stored
     verdict): {!create} replays an existing file — tolerating
-    crash-truncated lines, which {!Nncs_resilience.Journal.load} skips
+    crash-truncated lines, which {!Nncs_resilience.Journal.fold} skips
     with a warning, and individually corrupt records, which replay
     skips the same way — and appends every new verdict, so a restarted
     server answers past queries from disk.  Evictions leave dead lines
     behind; the journal is compacted — rewritten to exactly the live
     entries, oldest first so replay reconstructs the recency order —
-    whenever it exceeds [compact_factor] times the live size (checked
-    at replay and after each store) and once more on {!close}. *)
+    whenever it exceeds four times the live size (checked at replay
+    and after each store) and once more on {!close}. *)
 
 type t
 
-val create :
-  ?path:string -> ?capacity:int -> ?compact_factor:int -> unit -> t
-(** With [path], replay the journal at [path] (if any) and keep it open
-    for appending.  With [capacity] (default unbounded; must be
-    positive), bound the live entry count by LRU eviction — a journal
-    longer than the capacity replays to the newest [capacity] entries.
-    [compact_factor] (default 4, minimum 2) sets the dead-line
-    tolerance before the journal is rewritten in place. *)
+val create : ?path:string -> ?capacity:int -> unit -> t
+(** With [path], replay the journal at [path] (if any), one record at
+    a time, and keep it open for appending.  With [capacity] (default
+    unbounded; must be positive), bound the live entry count by LRU
+    eviction — a journal longer than the capacity replays to the newest
+    [capacity] entries. *)
 
 val find : t -> string -> Nncs.Verify.report option
 (** Memo lookup by fingerprint; counts into the [serve.memo_hits] /

@@ -566,6 +566,17 @@ let test_verify_equivalence () =
         [ 1; 4; 16 ])
     [ 1; 4 ]
 
+(* every [elapsed] field zeroed: the telemetry a rerun cannot repeat *)
+let rec zero_elapsed = function
+  | Nncs_obs.Json.Obj kvs ->
+      Nncs_obs.Json.Obj
+        (List.map
+           (fun (k, v) ->
+             (k, if k = "elapsed" then Nncs_obs.Json.Num 0.0 else zero_elapsed v))
+           kvs)
+  | Nncs_obs.Json.List vs -> Nncs_obs.Json.List (List.map zero_elapsed vs)
+  | v -> v
+
 let test_verify_equivalence_nn_splits () =
   (* nn_splits > 0 routes through propagate_split_batch; journal records
      must also match byte for byte *)
@@ -574,19 +585,17 @@ let test_verify_equivalence_nn_splits () =
   let cfg1 = config ~batch_leaves:1 1 in
   let cfgk = config ~batch_leaves:4 1 in
   let journal cfg =
-    let recs = ref [] in
-    let r =
-      Verify.verify_partition ~config:cfg
-        ~on_leaf:(fun cell path leaf ->
-          (* byte-identical journal records modulo the elapsed field *)
-          let j =
-            Nncs_obs.Json.to_string
-              (Verify.leaf_record_to_json ~cell ~path { leaf with Verify.elapsed = 0.0 })
-          in
-          recs := j :: !recs)
-        sys cells
-    in
-    (strip_elapsed r, List.sort compare !recs)
+    let path = Filename.temp_file "nncs_batch" ".jsonl" in
+    Fun.protect
+      ~finally:(fun () -> Sys.remove path)
+      (fun () ->
+        let r = Verify.verify_partition ~config:cfg ~journal:path sys cells in
+        (* byte-identical journal records modulo the elapsed field *)
+        ( strip_elapsed r,
+          List.sort compare
+            (List.map
+               (fun j -> Nncs_obs.Json.to_string (zero_elapsed j))
+               (Nncs_resilience.Journal.load path)) ))
   in
   let s1, j1 = journal cfg1 in
   let sk, jk = journal cfgk in

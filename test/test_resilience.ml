@@ -439,32 +439,51 @@ let with_temp_journal f =
   let path = Filename.temp_file "nncs_journal" ".jsonl" in
   Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> f path)
 
-let run_journaled ~path ?completed sys cells =
-  Journal.with_writer path (fun w ->
-      Journal.write w
-        (Verify.journal_meta
-           ~total:(List.length cells)
-           ~fingerprint:(Verify.fingerprint ~config:(config ()) sys cells));
-      Verify.verify_partition ~config:(config ())
-        ~on_cell:(fun c -> Journal.write w (Verify.cell_report_to_json c))
-        ?completed sys cells)
+let run_journaled ~path sys cells =
+  Verify.verify_partition ~config:(config ()) ~journal:path sys cells
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let replayed_leaves () =
+  Nncs_obs.Metrics.value (Nncs_obs.Metrics.counter "verify.replayed_leaves")
+
+let record_kind j =
+  match Json.member "t" j with Some (Json.Str t) -> t | _ -> "?"
 
 let test_journal_roundtrip () =
   with_temp_journal (fun path ->
       let sys = homing_system () in
       let cells = grid 4 in
       let report = run_journaled ~path sys cells in
-      let j = Verify.load_journal path in
-      let loaded = j.Verify.completed_cells in
-      Alcotest.(check (option int)) "meta total" (Some 4) j.Verify.meta_total;
-      check "meta has a fingerprint" true (j.Verify.meta_fingerprint <> None);
-      Alcotest.(check int) "all cells journaled" 4 (List.length loaded);
+      (match Journal.load path with
+      | meta :: records ->
+          Alcotest.(check (option int))
+            "meta total" (Some 4)
+            (Option.map Json.to_int (Json.member "total" meta));
+          Alcotest.(check (option string))
+            "meta fingerprint"
+            (Some (Verify.fingerprint ~config:(config ()) sys cells))
+            (Option.map Json.to_str (Json.member "fingerprint" meta));
+          Alcotest.(check (list string))
+            "one leaf record per cell, no cell record"
+            [ "leaf"; "leaf"; "leaf"; "leaf" ]
+            (List.map record_kind records)
+      | [] -> Alcotest.fail "empty journal");
+      (* a rerun replays every leaf as it was computed and appends
+         nothing *)
+      let written = read_file path in
+      let before = replayed_leaves () in
+      let replayed = run_journaled ~path sys cells in
+      Alcotest.(check int) "every leaf replayed" 4 (replayed_leaves () - before);
+      check "finished journal left unchanged" true (read_file path = written);
       List.iter2
         (fun (a : Verify.cell_report) (b : Verify.cell_report) ->
           Alcotest.(check int) "index" a.Verify.index b.Verify.index;
           Alcotest.(check (float 0.0))
             "proved_fraction round-trips exactly" a.Verify.proved_fraction
             b.Verify.proved_fraction;
+          Alcotest.(check (float 0.0))
+            "elapsed round-trips exactly" a.Verify.elapsed b.Verify.elapsed;
           List.iter2
             (fun (x : Verify.leaf) (y : Verify.leaf) ->
               check "state round-trips exactly" true
@@ -473,7 +492,7 @@ let test_journal_roundtrip () =
                 (x.Verify.proved = y.Verify.proved
                 && x.Verify.rungs = y.Verify.rungs))
             a.Verify.leaves b.Verify.leaves)
-        report.Verify.cells loaded)
+        report.Verify.cells replayed.Verify.cells)
 
 let test_journal_resume_skips_completed () =
   with_temp_journal (fun path ->
@@ -481,39 +500,86 @@ let test_journal_resume_skips_completed () =
           let sys = homing_system () in
           let cells = grid 4 in
           let full = run_journaled ~path sys cells in
-          let loaded = (Verify.load_journal path).Verify.completed_cells in
-          let completed =
-            List.filter (fun (c : Verify.cell_report) -> c.Verify.index < 2)
-              loaded
-          in
+          (* one worker at depth 0 records cell i's only leaf on line
+             i + 1: keep the meta line and cells 0 and 1 *)
+          let lines = String.split_on_char '\n' (read_file path) in
+          Out_channel.with_open_bin path (fun oc ->
+              List.iteri
+                (fun i l -> if i < 3 then output_string oc (l ^ "\n"))
+                lines);
           (* a fault on cell 0 proves resume does not recompute it *)
           Fault.arm ~site:"verify.leaf" ~key:"0" enclosure_fault;
-          let resumed =
-            Verify.verify_partition ~config:(config ()) ~completed sys cells
-          in
+          let before = replayed_leaves () in
+          let resumed = run_journaled ~path sys cells in
+          Alcotest.(check int) "cells 0 and 1 replayed" 2
+            (replayed_leaves () - before);
           Alcotest.(check (float 1e-9))
             "same coverage as the uninterrupted run" full.Verify.coverage
             resumed.Verify.coverage;
-          Alcotest.(check int) "no unknown cells" 0 resumed.Verify.unknown_cells;
-          check "completed cell 0 was not re-run" true (Fault.armed ())))
+          Alcotest.(check int) "no unknown cells" 0 resumed.Verify.unknown_cells))
 
 let test_journal_tolerates_truncated_tail () =
   with_temp_journal (fun path ->
       let sys = homing_system () in
-      ignore (run_journaled ~path sys (grid 3));
+      let full = run_journaled ~path sys (grid 3) in
       (* simulate a crash mid-write: chop the final line in half *)
-      let ic = open_in_bin path in
-      let len = in_channel_length ic in
-      let contents = really_input_string ic len in
-      close_in ic;
+      let contents = read_file path in
       let cut = String.length contents - 40 in
-      let oc = open_out_bin path in
-      output_string oc (String.sub contents 0 cut);
-      close_out oc;
-      let j = Verify.load_journal path in
-      Alcotest.(check (option int)) "meta survives" (Some 3) j.Verify.meta_total;
-      Alcotest.(check int) "only the torn record is lost" 2
-        (List.length j.Verify.completed_cells))
+      Out_channel.with_open_bin path (fun oc ->
+          output_string oc (String.sub contents 0 cut));
+      let before = replayed_leaves () in
+      let resumed = run_journaled ~path sys (grid 3) in
+      Alcotest.(check int) "only the torn record is recomputed" 2
+        (replayed_leaves () - before);
+      Alcotest.(check (float 1e-9))
+        "same coverage as the uninterrupted run" full.Verify.coverage
+        resumed.Verify.coverage;
+      let bad = ref 0 in
+      let records = Journal.load ~on_malformed:(fun ~line:_ _ -> incr bad) path in
+      Alcotest.(check int) "the torn line is cut off" 0 !bad;
+      Alcotest.(check (list string))
+        "meta and three leaf records"
+        [ "meta"; "leaf"; "leaf"; "leaf" ]
+        (List.map record_kind records))
+
+(* A journal that is not this problem's is refused before any work: no
+   leaf runs and the file is left as it was. *)
+let test_journal_refusals () =
+  with_temp_journal (fun path ->
+      with_faults (fun () ->
+          let sys = homing_system () in
+          ignore (run_journaled ~path sys (grid 4));
+          let grid4 = read_file path in
+          let fingerprint n =
+            Verify.fingerprint ~config:(config ()) sys (grid n)
+          in
+          let contains s sub =
+            let n = String.length sub in
+            let rec go i =
+              i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
+            in
+            go 0
+          in
+          Fault.arm ~site:"verify.leaf" ~times:1 enclosure_fault;
+          let refused what contents mentions =
+            Out_channel.with_open_bin path (fun oc -> output_string oc contents);
+            (match run_journaled ~path sys (grid 3) with
+            | _ -> Alcotest.failf "%s: journal accepted" what
+            | exception Verify.Journal_refused msg ->
+                List.iter
+                  (fun m -> check (what ^ ": message names " ^ m) true (contains msg m))
+                  mentions);
+            check (what ^ ": file untouched") true (read_file path = contents)
+          in
+          refused "another fingerprint" grid4
+            [ path; fingerprint 4; fingerprint 3 ];
+          refused "meta line without a fingerprint"
+            ({|{"t":"meta","kind":"nncs-verify-journal","total":3}|} ^ "\n")
+            [ path ];
+          refused "no meta line"
+            (String.concat "\n" (List.tl (String.split_on_char '\n' grid4)))
+            [ path ];
+          check "no leaf ran" true (Fault.armed ())))
 
 (* Corruption is not confined to the tail: a bit-flipped or
    half-flushed record mid-file must not take the rest of the journal
@@ -637,6 +703,8 @@ let () =
           Alcotest.test_case "journal round-trip" `Quick test_journal_roundtrip;
           Alcotest.test_case "resume skips completed" `Quick
             test_journal_resume_skips_completed;
+          Alcotest.test_case "another problem's journal refused" `Quick
+            test_journal_refusals;
           Alcotest.test_case "truncated tail tolerated" `Quick
             test_journal_tolerates_truncated_tail;
           Alcotest.test_case "malformed mid-file line skipped" `Quick

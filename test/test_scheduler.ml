@@ -2,8 +2,8 @@
    verdicts, leaves and coverage as a plain depth-first recursion for any
    worker count, one worker visiting leaves in exactly that recursion's
    order, each leaf's time its own, faults isolated to one leaf, orphans
-   of dead workers re-queued, and mid-cell resume from journaled leaf
-   records.
+   of dead workers re-queued, and resume in place from the journal's
+   leaf records, from any cut.
    Plus the partition/verify-layer correctness fixes that rode along:
    NaN-proof influence ordering and count-once progress, and the pinned
    fingerprint and journal format that existing journals depend on. *)
@@ -28,6 +28,7 @@ module Fault = Nncs_resilience.Fault
 module Metrics = Nncs_obs.Metrics
 module Trace = Nncs_obs.Trace
 module Clock = Nncs_obs.Clock
+module Json = Nncs_obs.Json
 
 let check = Alcotest.(check bool)
 
@@ -98,6 +99,39 @@ let strip_elapsed (r : Verify.report) =
                 | Verify.Failed f -> Nncs_resilience.Failure.to_string f ))
             c.Verify.leaves ))
       r.Verify.cells )
+
+let with_temp_journal f =
+  let path = Filename.temp_file "nncs_sched" ".jsonl" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> f path)
+
+let read_lines path =
+  In_channel.with_open_bin path In_channel.input_all
+  |> String.split_on_char '\n'
+  |> List.filter (fun l -> l <> "")
+
+let write_file path contents =
+  Out_channel.with_open_bin path (fun oc -> output_string oc contents)
+
+let replayed_leaves () = Metrics.value (Metrics.counter "verify.replayed_leaves")
+
+(* the journal's record kinds, and the (cell, path) of its leaf records,
+   in file order *)
+let records path =
+  let kind j = match Json.member "t" j with Some (Json.Str t) -> t | _ -> "?" in
+  let key j =
+    match (Json.member "cell" j, Json.member "path" j) with
+    | Some c, Some (Json.List ks) -> (Json.to_int c, List.map Json.to_int ks)
+    | _ -> Alcotest.fail "leaf record without cell or path"
+  in
+  let js = Journal.load path in
+  ( List.map kind js,
+    List.filter_map (fun j -> if kind j = "leaf" then Some (key j) else None) js
+  )
+
+let leaf_count (r : Verify.report) =
+  List.fold_left
+    (fun n (c : Verify.cell_report) -> n + List.length c.Verify.leaves)
+    0 r.Verify.cells
 
 (* ----- equivalence with the depth-first recursion ----- *)
 
@@ -244,42 +278,36 @@ let test_unbounded_max_depth () =
 
 (* ----- one worker runs the depth-first recursion's order ----- *)
 
-type event = Leaf of int * int list | Cell of int
-
 let test_one_worker_depth_first () =
   let sys = homing_system ~horizon_steps:3 () in
-  let events = ref [] in
-  let report =
-    Verify.verify_partition ~config:(config 1)
-      ~on_leaf:(fun cell path _ -> events := Leaf (cell, path) :: !events)
-      ~on_cell:(fun c -> events := Cell c.Verify.index :: !events)
-      sys (grid 3)
-  in
-  let events = List.rev !events in
-  check "every cell refines" true
-    (List.for_all
-       (fun (c : Verify.cell_report) -> List.length c.Verify.leaves > 1)
-       report.Verify.cells);
-  (* cell 0's leaves in path order, then cell 0 done, then cell 1, ... *)
-  let expected =
-    List.concat_map
-      (fun (c : Verify.cell_report) ->
-        let i = c.Verify.index in
-        let paths =
-          List.filter_map
-            (function Leaf (j, p) when j = i -> Some p | _ -> None)
-            events
-        in
-        Alcotest.(check int)
-          (Printf.sprintf "cell %d: one event per leaf" i)
-          (List.length c.Verify.leaves) (List.length paths);
-        List.map
-          (fun p -> Leaf (i, p))
-          (List.sort (List.compare Int.compare) paths)
-        @ [ Cell i ])
-      report.Verify.cells
-  in
-  check "depth-first visiting order" true (events = expected)
+  with_temp_journal (fun path ->
+      let report =
+        Verify.verify_partition ~config:(config 1) ~journal:path sys (grid 3)
+      in
+      let _, keys = records path in
+      check "every cell refines" true
+        (List.for_all
+           (fun (c : Verify.cell_report) -> List.length c.Verify.leaves > 1)
+           report.Verify.cells);
+      (* cell 0's leaf records in path order, then cell 1's, ... *)
+      let expected =
+        List.concat_map
+          (fun (c : Verify.cell_report) ->
+            let i = c.Verify.index in
+            let paths =
+              List.filter_map
+                (fun (j, p) -> if j = i then Some p else None)
+                keys
+            in
+            Alcotest.(check int)
+              (Printf.sprintf "cell %d: one record per leaf" i)
+              (List.length c.Verify.leaves) (List.length paths);
+            List.map
+              (fun p -> (i, p))
+              (List.sort (List.compare Int.compare) paths))
+          report.Verify.cells
+      in
+      check "depth-first recording order" true (keys = expected))
 
 (* ----- per-leaf fault isolation ----- *)
 
@@ -335,66 +363,94 @@ let test_fatal_death_requeues_orphan () =
       check "report identical to serial after recovery" true
         (strip_elapsed baseline = strip_elapsed report))
 
-(* ----- mid-cell resume from journaled leaf records ----- *)
+(* ----- resume in place from the journal ----- *)
 
+(* A journal holding the meta line and a subset of an uninterrupted
+   run's leaf records, followed by [tail], resumed at workers 1 and 4:
+   the report is the uninterrupted one, [progress] counts every cell,
+   exactly the kept records are replayed, and the file ends up with
+   every leaf once and no cell record. *)
+let check_resume ~what sys cells baseline ~meta ~kept ~tail =
+  let n = leaf_count baseline in
+  List.iter
+    (fun workers ->
+      with_temp_journal (fun path ->
+          write_file path
+            (String.concat "" (List.map (fun l -> l ^ "\n") (meta :: kept))
+            ^ tail);
+          let before = replayed_leaves () in
+          let finished = Atomic.make 0 in
+          let resumed =
+            Verify.verify_partition ~config:(config workers) ~journal:path
+              ~progress:(fun _ _ -> Atomic.incr finished)
+              sys cells
+          in
+          let what = Printf.sprintf "%s, workers=%d" what workers in
+          Alcotest.(check int)
+            (what ^ ": progress counts every cell, replayed ones included")
+            (List.length cells) (Atomic.get finished);
+          check (what ^ ": report of the uninterrupted run") true
+            (strip_elapsed resumed = strip_elapsed baseline);
+          Alcotest.(check int)
+            (what ^ ": kept records replayed")
+            (List.length kept)
+            (replayed_leaves () - before);
+          let kinds, keys = records path in
+          Alcotest.(check int) (what ^ ": every leaf recorded") n
+            (List.length keys);
+          Alcotest.(check int)
+            (what ^ ": no leaf recorded twice")
+            n
+            (List.length (List.sort_uniq compare keys));
+          check (what ^ ": no cell record") true
+            (not (List.mem "cell" kinds))))
+    [ 1; 4 ]
+
+(* a kill stops a one-worker run after its first k records, possibly
+   halfway through record k + 1 *)
+let test_resume_every_cut () =
+  let sys = homing_system ~horizon_steps:3 () in
+  let cells = grid 3 in
+  with_temp_journal (fun full ->
+      let baseline =
+        Verify.verify_partition ~config:(config 1) ~journal:full sys cells
+      in
+      match read_lines full with
+      | [] -> Alcotest.fail "empty journal"
+      | meta :: leaves ->
+          let n = List.length leaves in
+          Alcotest.(check int) "one record per leaf" (leaf_count baseline) n;
+          for k = 0 to n do
+            let tail =
+              if k < n then
+                let r = List.nth leaves k in
+                String.sub r 0 (String.length r / 2)
+              else ""
+            in
+            check_resume
+              ~what:(Printf.sprintf "cut after %d of %d" k n)
+              sys cells baseline ~meta
+              ~kept:(List.filteri (fun i _ -> i < k) leaves)
+              ~tail
+          done)
+
+(* a run on several workers records leaves in completion order, so a
+   kill can leave any subset: here every other record *)
 let test_midcell_resume () =
   let sys = homing_system ~horizon_steps:3 () in
   let cells = grid 3 in
-  let total = List.length cells in
-  let cfg = config 1 in
-  let recs = ref [] in
-  let baseline =
-    Verify.verify_partition ~config:cfg
-      ~on_leaf:(fun cell path leaf -> recs := (cell, path, leaf) :: !recs)
-      sys cells
-  in
-  let all = List.rev !recs in
-  check "every terminal leaf journaled" true
-    (List.length all
-    = List.fold_left
-        (fun n (c : Verify.cell_report) -> n + List.length c.Verify.leaves)
-        0 baseline.Verify.cells);
-  (* simulate a kill partway through: the journal holds the meta line and
-     every other leaf record, and no completed-cell record *)
-  let kept = List.filteri (fun i _ -> i mod 2 = 0) all in
-  check "interruption leaves a strict subset" true
-    (kept <> [] && List.length kept < List.length all);
-  let path = Filename.temp_file "nncs_sched" ".jsonl" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      Journal.with_writer path (fun w ->
-          Journal.write w
-            (Verify.journal_meta ~total
-               ~fingerprint:(Verify.fingerprint ~config:cfg sys cells));
-          List.iter
-            (fun (cell, p, leaf) ->
-              Journal.write w (Verify.leaf_record_to_json ~cell ~path:p leaf))
-            kept);
-      let j = Verify.load_journal path in
-      Alcotest.(check int) "no completed cells in journal" 0
-        (List.length j.Verify.completed_cells);
-      Alcotest.(check int) "journaled leaves grouped by cell"
-        (List.length kept)
-        (List.fold_left
-           (fun n (_, ls) -> n + List.length ls)
-           0 j.Verify.partial_leaves);
-      let replayed = Metrics.counter "verify.replayed_leaves" in
-      let before = Metrics.value replayed in
-      let resumed_recs = ref [] in
-      let resumed =
-        Verify.verify_partition ~config:cfg ~partial:j.Verify.partial_leaves
-          ~on_leaf:(fun cell p leaf -> resumed_recs := (cell, p, leaf) :: !resumed_recs)
-          sys cells
+  with_temp_journal (fun full ->
+      let baseline =
+        Verify.verify_partition ~config:(config 1) ~journal:full sys cells
       in
-      Alcotest.(check int) "recorded leaves replayed, not recomputed"
-        (List.length kept)
-        (Metrics.value replayed - before);
-      Alcotest.(check int) "replayed leaves not re-journaled"
-        (List.length all - List.length kept)
-        (List.length !resumed_recs);
-      check "resumed report identical to the uninterrupted run" true
-        (strip_elapsed baseline = strip_elapsed resumed))
+      match read_lines full with
+      | [] -> Alcotest.fail "empty journal"
+      | meta :: leaves ->
+          let kept = List.filteri (fun i _ -> i mod 2 = 0) leaves in
+          check "interruption leaves a strict subset" true
+            (kept <> [] && List.length kept < List.length leaves);
+          check_resume ~what:"every other record" sys cells baseline ~meta
+            ~kept ~tail:"")
 
 (* ----- problem fingerprint ----- *)
 
@@ -440,16 +496,31 @@ let test_fingerprint_sensitivity () =
 (* ----- stored fingerprints and journals stay valid -----
 
    Journals, memo entries and backreach tables are keyed by these
-   digests: the hex below, and the journal lines, were written by the
-   code before the hash and box codec moved into [Nncs.Codec]. *)
+   digests: the hex below was written by the code before the hash and
+   box codec moved into [Nncs.Codec].  The journal is the horizon-3
+   homing fixture's on grid 3 (one worker, [elapsed] zeroed), as
+   written before the leaf record became the journal's only verdict
+   record: a cell record follows each cell's leaf records. *)
 
 let pinned_journal =
   [
     {|{"t":"meta","kind":"nncs-verify-journal","version":2,"total":3,"fingerprint":"93ba36faa762bc0d"}|};
+    {|{"t":"leaf","cell":0,"path":[0],"leaf":{"box":[[1,1.1666666666666665]],"cmd":0,"depth":1,"proved":true,"result":{"verdict":"safe"},"rungs":["base"],"elapsed":0}}|};
+    {|{"t":"leaf","cell":0,"path":[1],"leaf":{"box":[[1.1666666666666665,1.3333333333333333]],"cmd":0,"depth":1,"proved":true,"result":{"verdict":"safe"},"rungs":["base"],"elapsed":0}}|};
     {|{"t":"cell","index":0,"proved_fraction":1,"elapsed":0,"leaves":[{"box":[[1,1.1666666666666665]],"cmd":0,"depth":1,"proved":true,"result":{"verdict":"safe"},"rungs":["base"],"elapsed":0},{"box":[[1.1666666666666665,1.3333333333333333]],"cmd":0,"depth":1,"proved":true,"result":{"verdict":"safe"},"rungs":["base"],"elapsed":0}]}|};
+    {|{"t":"leaf","cell":1,"path":[0,0],"leaf":{"box":[[1.3333333333333333,1.4166666666666665]],"cmd":0,"depth":2,"proved":true,"result":{"verdict":"safe"},"rungs":["base"],"elapsed":0}}|};
+    {|{"t":"leaf","cell":1,"path":[0,1],"leaf":{"box":[[1.4166666666666665,1.5]],"cmd":0,"depth":2,"proved":false,"result":{"verdict":"horizon"},"rungs":["base"],"elapsed":0}}|};
+    {|{"t":"leaf","cell":1,"path":[1,0],"leaf":{"box":[[1.5,1.5833333333333333]],"cmd":0,"depth":2,"proved":false,"result":{"verdict":"horizon"},"rungs":["base"],"elapsed":0}}|};
+    {|{"t":"leaf","cell":1,"path":[1,1],"leaf":{"box":[[1.5833333333333333,1.6666666666666665]],"cmd":0,"depth":2,"proved":true,"result":{"verdict":"safe"},"rungs":["base"],"elapsed":0}}|};
     {|{"t":"cell","index":1,"proved_fraction":0.5,"elapsed":0,"leaves":[{"box":[[1.3333333333333333,1.4166666666666665]],"cmd":0,"depth":2,"proved":true,"result":{"verdict":"safe"},"rungs":["base"],"elapsed":0},{"box":[[1.4166666666666665,1.5]],"cmd":0,"depth":2,"proved":false,"result":{"verdict":"horizon"},"rungs":["base"],"elapsed":0},{"box":[[1.5,1.5833333333333333]],"cmd":0,"depth":2,"proved":false,"result":{"verdict":"horizon"},"rungs":["base"],"elapsed":0},{"box":[[1.5833333333333333,1.6666666666666665]],"cmd":0,"depth":2,"proved":true,"result":{"verdict":"safe"},"rungs":["base"],"elapsed":0}]}|};
+    {|{"t":"leaf","cell":2,"path":[0,0],"leaf":{"box":[[1.6666666666666665,1.75]],"cmd":0,"depth":2,"proved":false,"result":{"verdict":"horizon"},"rungs":["base"],"elapsed":0}}|};
+    {|{"t":"leaf","cell":2,"path":[0,1],"leaf":{"box":[[1.75,1.8333333333333333]],"cmd":0,"depth":2,"proved":false,"result":{"verdict":"horizon"},"rungs":["base"],"elapsed":0}}|};
+    {|{"t":"leaf","cell":2,"path":[1,0],"leaf":{"box":[[1.8333333333333333,1.9166666666666665]],"cmd":0,"depth":2,"proved":false,"result":{"verdict":"horizon"},"rungs":["base"],"elapsed":0}}|};
+    {|{"t":"leaf","cell":2,"path":[1,1],"leaf":{"box":[[1.9166666666666665,2]],"cmd":0,"depth":2,"proved":false,"result":{"verdict":"horizon"},"rungs":["base"],"elapsed":0}}|};
     {|{"t":"cell","index":2,"proved_fraction":0,"elapsed":0,"leaves":[{"box":[[1.6666666666666665,1.75]],"cmd":0,"depth":2,"proved":false,"result":{"verdict":"horizon"},"rungs":["base"],"elapsed":0},{"box":[[1.75,1.8333333333333333]],"cmd":0,"depth":2,"proved":false,"result":{"verdict":"horizon"},"rungs":["base"],"elapsed":0},{"box":[[1.8333333333333333,1.9166666666666665]],"cmd":0,"depth":2,"proved":false,"result":{"verdict":"horizon"},"rungs":["base"],"elapsed":0},{"box":[[1.9166666666666665,2]],"cmd":0,"depth":2,"proved":false,"result":{"verdict":"horizon"},"rungs":["base"],"elapsed":0}]}|};
   ]
+
+let journal_text lines = String.concat "" (List.map (fun l -> l ^ "\n") lines)
 
 let test_fingerprint_pinned () =
   Alcotest.(check string)
@@ -477,26 +548,49 @@ let test_fingerprint_pinned () =
   Alcotest.(check string)
     "homing fixture, grid 4, Lohner + Affine" "8c6c1cfa3eae4520"
     (Verify.fingerprint ~config:lohner affine (grid 4));
+  (* without its leaf records the journal is accepted (its fingerprint
+     is this problem's) and recomputed: cell records are skipped *)
   let sys = homing_system ~horizon_steps:3 () in
   let cells = grid 3 in
-  let path = Filename.temp_file "nncs_pinned" ".jsonl" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      let oc = open_out path in
-      List.iter (fun l -> output_string oc (l ^ "\n")) pinned_journal;
-      close_out oc;
-      let j = Verify.load_journal path in
-      Alcotest.(check (option string))
-        "stored fingerprint matches this problem"
-        (Some (Verify.fingerprint ~config:(config 1) sys cells))
-        j.Verify.meta_fingerprint;
-      let fresh = Verify.verify_partition ~config:(config 1) sys cells in
-      let _, _, _, _, stored =
-        strip_elapsed { fresh with Verify.cells = j.Verify.completed_cells }
+  with_temp_journal (fun path ->
+      write_file path
+        (journal_text
+           (List.filter
+              (fun l -> not (String.starts_with ~prefix:{|{"t":"leaf"|} l))
+              pinned_journal));
+      let before = replayed_leaves () in
+      let resumed =
+        Verify.verify_partition ~config:(config 1) ~journal:path sys cells
       in
-      let _, _, _, _, computed = strip_elapsed fresh in
-      check "stored cells load as computed" true (stored = computed))
+      Alcotest.(check int) "cell records not replayed" 0
+        (replayed_leaves () - before);
+      check "cell-only journal recomputes to a fresh run" true
+        (strip_elapsed resumed
+        = strip_elapsed (Verify.verify_partition ~config:(config 1) sys cells)))
+
+(* The whole pinned journal resumes with every leaf replayed and no leaf
+   run (a [verify.leaf] fault armed on every key stays untriggered), and
+   appends nothing. *)
+let test_pinned_journal_replayed () =
+  let sys = homing_system ~horizon_steps:3 () in
+  let cells = grid 3 in
+  let fresh = Verify.verify_partition ~config:(config 1) sys cells in
+  with_temp_journal (fun path ->
+      write_file path (journal_text pinned_journal);
+      Fun.protect ~finally:Fault.reset (fun () ->
+          Fault.arm ~site:"verify.leaf" ~times:1 (fun () ->
+              Stdlib.Failure "a leaf ran");
+          let before = replayed_leaves () in
+          let resumed =
+            Verify.verify_partition ~config:(config 1) ~journal:path sys cells
+          in
+          Alcotest.(check int) "every leaf replayed" (leaf_count fresh)
+            (replayed_leaves () - before);
+          check "no leaf ran" true (Fault.armed ());
+          check "report as computed" true
+            (strip_elapsed resumed = strip_elapsed fresh);
+          Alcotest.(check (list string))
+            "nothing appended" pinned_journal (read_lines path)))
 
 (* ----- influence_order with NaN scores ----- *)
 
@@ -593,6 +687,8 @@ let () =
           Alcotest.test_case "fatal death re-queues orphan" `Quick
             test_fatal_death_requeues_orphan;
           Alcotest.test_case "mid-cell resume" `Quick test_midcell_resume;
+          Alcotest.test_case "resume from every cut" `Quick
+            test_resume_every_cut;
         ] );
       ( "bugfixes",
         [
@@ -600,6 +696,8 @@ let () =
             test_fingerprint_sensitivity;
           Alcotest.test_case "fingerprint and journal pinned" `Quick
             test_fingerprint_pinned;
+          Alcotest.test_case "pinned journal replayed in full" `Quick
+            test_pinned_journal_replayed;
           Alcotest.test_case "influence order with NaN" `Quick
             test_influence_order_nan;
           Alcotest.test_case "progress counts once" `Quick
